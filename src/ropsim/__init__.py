@@ -8,9 +8,8 @@ most `t_i * t_m` instructions.
 """
 
 from .detector import (ClosedBy, DetectionReport, Detector, DetectorConfig,
-                       IntervalRecord, ProcessEntry, ProcessTable, RopDetected,
-                       run, signature_check)
-from .hpc import Counter, CounterBank, EventKind
+                       IntervalRecord, ProcessEntry, RopDetected, run,
+                       signature_check)
 from .ras import DEFAULT_CAPACITY, ReturnAddressStack
 from .trace import (ADDRESS_MASK, KERNEL_BASE, Call, Plain, PrivilegeLevel,
                     Return, Switch, Trace, TraceEvent, TraceParseError,
@@ -28,9 +27,8 @@ __all__ = [
     "TraceEvent", "TraceParseError", "classify_address", "parse_trace",
     "serialize_trace", "load_trace", "dump_trace",
     "ReturnAddressStack",
-    "Counter", "CounterBank", "EventKind",
     "Detector", "DetectorConfig", "DetectionReport", "ProcessEntry",
-    "ProcessTable", "RopDetected", "IntervalRecord", "ClosedBy",
+    "RopDetected", "IntervalRecord", "ClosedBy",
     "run", "signature_check",
     "BenignSpec", "RopSpec", "InterleaveSpec", "GenerationError",
     "gen_benign", "gen_rop", "interleave", "replay_mispredictions",

@@ -161,14 +161,16 @@ def cmd_interleave(args) -> int:
         return _fail(f"cannot read spec: {exc}")
     if not isinstance(doc, dict) or "parts" not in doc or "schedule" not in doc:
         return _fail("spec must contain 'parts' and 'schedule'")
+    if (not isinstance(doc["parts"], dict)
+            or not all(isinstance(path, str) for path in doc["parts"].values())):
+        return _fail("spec 'parts' must be an object mapping pids to trace paths")
     try:
         parts = [(int(pid), load_trace(path))
                  for pid, path in sorted(doc["parts"].items(), key=lambda kv: int(kv[0]))]
         schedule = [(int(pid), int(count)) for pid, count in doc["schedule"]]
     except (OSError, TraceParseError, TypeError, ValueError) as exc:
         return _fail(f"bad spec: {exc}")
-    spec = InterleaveSpec(parts=parts, schedule=schedule,
-                          split_rop=bool(doc.get("split_rop", False)))
+    spec = InterleaveSpec(parts=parts, schedule=schedule)
     try:
         trace = interleave(spec)
     except GenerationError as exc:

@@ -1,34 +1,39 @@
 """Signature-based ROP detection over an attributed instruction trace.
 
 Execution is divided into tumbling monitor intervals, each delimited by
-`t_m` mispredicted returns counted by the sampling counter.  When an
-interval completes, the payload signature holds iff the interval saw
-exactly `t_m` returns (every return mispredicted, so none had a matching
-call) and at most `t_i * t_m` instructions (short gadgets only).  A
-passing check flags the current process and monitoring of it stops;
-a failing check discards the interval and re-arms the counter.
+`t_m` mispredicted returns.  The detector counts three events per
+interval (instructions, returns, mispredicted returns); the third count
+is armed with a threshold and closes the interval on the event that
+reaches it, with no interrupt skid.  When an interval completes, the
+payload signature holds iff the interval saw exactly `t_m` returns
+(every return mispredicted, so none had a matching call) and at most
+`t_i * t_m` instructions (short gadgets only).  A passing check flags
+the current process and monitoring of it stops; a failing check
+discards the interval and re-arms the threshold at `t_m`.
 
 Context switches would let an attacker split a gadget chain across
 scheduling quanta, so partial interval state is parked per process in a
-lookup table: on switch-out the counter values are added into the
-outgoing process's entry (8-bit saturating), and on switch-in the
-sampling threshold is re-armed with the residue `t_m - n_m` so the
-interval completes exactly where it would have without the switch.
-`table_enabled=False` disables the table (partial intervals are simply
+lookup table: on switch-out the counts are added into the outgoing
+process's entry (one byte each, clamped at 255), and on switch-in the
+threshold is re-armed with the residue `t_m - n_m` so the interval
+completes exactly where it would have without the switch.  A clamped
+count must not pass the signature where the true count would fail, so
+configurations with `t_i * t_m >= 255` are rejected.
+
+Options: `table_enabled=False` disables the table (partial intervals are
 discarded at every switch), a deliberately vulnerable mode kept as a
-regression baseline.
+regression baseline; `ras_capacity` sets the predictor depth; and
+`flush_ras_on_switch` empties the predictor at every context switch.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-import struct
 from dataclasses import dataclass, field
 
-from .hpc import CounterBank, EventKind
 from .ras import DEFAULT_CAPACITY, ReturnAddressStack
-from .trace import (Call, Plain, PrivilegeLevel, Return, Switch, Trace,
+from .trace import (Call, Plain, PrivilegeLevel, Switch, Trace,
                     classify_address)
 
 SATURATE_AT = 0xFF  # one byte per stored event count
@@ -45,6 +50,9 @@ class DetectorConfig:
             raise ValueError("t_m must be >= 1")
         if self.t_i < 1:
             raise ValueError("t_i must be >= 1")
+        if self.t_i * self.t_m >= SATURATE_AT:
+            raise ValueError(
+                "t_i * t_m must be below 255: a one-byte table entry cannot hold it")
 
 
 def signature_check(n_i: int, n_r: int, cfg: DetectorConfig) -> bool:
@@ -67,48 +75,13 @@ class ProcessEntry:
         self.n_r = 0
         self.n_m = 0
 
-    def accumulate(self, n_i: int, n_r: int, n_m: int, saturating: bool = True) -> None:
-        if saturating:
-            self.n_i = min(SATURATE_AT, self.n_i + n_i)
-            self.n_r = min(SATURATE_AT, self.n_r + n_r)
-        else:
-            self.n_i += n_i
-            self.n_r += n_r
+    def accumulate(self, n_i: int, n_r: int, n_m: int) -> None:
+        self.n_i = min(SATURATE_AT, self.n_i + n_i)
+        self.n_r = min(SATURATE_AT, self.n_r + n_r)
         self.n_m += n_m
-
-    def pack(self) -> bytes:
-        """The stored form: one byte per count."""
-        return struct.pack(
-            "BBB",
-            min(SATURATE_AT, self.n_i),
-            min(SATURATE_AT, self.n_r),
-            min(SATURATE_AT, self.n_m),
-        )
 
     def __repr__(self):
         return f"ProcessEntry(pid={self.pid}, n_i={self.n_i}, n_r={self.n_r}, n_m={self.n_m})"
-
-
-class ProcessTable:
-    """Lookup table of partial-interval entries, keyed by process id."""
-
-    def __init__(self):
-        self.entries: dict[int, ProcessEntry] = {}
-
-    def find(self, pid: int) -> ProcessEntry | None:
-        return self.entries.get(pid)
-
-    def find_or_create(self, pid: int) -> ProcessEntry:
-        entry = self.entries.get(pid)
-        if entry is None:
-            entry = self.entries[pid] = ProcessEntry(pid)
-        return entry
-
-    def clear(self, pid: int) -> None:
-        self.entries.pop(pid, None)
-
-    def __len__(self):
-        return len(self.entries)
 
 
 class ClosedBy(enum.Enum):
@@ -181,22 +154,16 @@ class Detector:
 
     def __init__(self, cfg: DetectorConfig | None = None, *,
                  ras_capacity: int = DEFAULT_CAPACITY,
-                 flush_ras_on_switch: bool = False,
-                 saturating_entries: bool = True):
+                 flush_ras_on_switch: bool = False):
         self.cfg = cfg if cfg is not None else DetectorConfig()
-        if saturating_entries and self.cfg.t_m > SATURATE_AT:
-            raise ValueError("one-byte interval state cannot hold t_m > 255")
-        self.saturating = saturating_entries
         self.flush_ras_on_switch = flush_ras_on_switch
         self.ras = ReturnAddressStack(ras_capacity)
-        self.bank = CounterBank(self.cfg.t_m)
-        self.table = ProcessTable()
+        self.table: dict[int, ProcessEntry] = {}
         self.cur: int | None = None
         self.stopped: set[int] = set()
         self.verdicts: list[RopDetected] = []
         self.intervals: list[IntervalRecord] = []
         self._record_counts: dict[int, int] = {}
-        self._last_mispred_pc: dict[int, int] = {}
         self._finished = False
 
     # -- interval bookkeeping -------------------------------------------------
@@ -209,24 +176,20 @@ class Detector:
         self.intervals.append(rec)
         return rec
 
-    def _combine(self, entry_val: int, bank_val: int) -> int:
-        if self.saturating:
-            return min(SATURATE_AT, entry_val + bank_val)
-        return entry_val + bank_val
+    def _unpark(self, pid: int, n_i: int, n_r: int,
+                n_m: int) -> tuple[int, int, int]:
+        """Add `pid`'s parked counts, if any, to its live counts; clears the entry."""
+        entry = self.table.pop(pid, None)
+        if entry is None:
+            return n_i, n_r, n_m
+        return (min(SATURATE_AT, entry.n_i + n_i),
+                min(SATURATE_AT, entry.n_r + n_r), entry.n_m + n_m)
 
-    def _overflow(self, trigger_pc: int) -> None:
-        """Sampling counter reached its threshold: check one complete interval."""
+    def _overflow(self, trigger_pc: int, n_i: int, n_r: int, n_m: int) -> None:
+        """The armed threshold was reached: check one complete interval."""
         pid = self.cur
-        t_m = self.cfg.t_m
-        b_i, b_r, b_m = self.bank.read()
-        entry = self.table.entries.pop(pid, None)
-        if entry is not None:
-            n_i = self._combine(entry.n_i, b_i)
-            n_r = self._combine(entry.n_r, b_r)
-            n_m = entry.n_m + b_m
-        else:
-            n_i, n_r, n_m = b_i, b_r, b_m
-        assert n_m == t_m, "overflow fired away from the interval boundary"
+        n_i, n_r, n_m = self._unpark(pid, n_i, n_r, n_m)
+        assert n_m == self.cfg.t_m, "overflow fired away from the interval boundary"
         rec = self._emit_interval(pid, n_i, n_r, n_m, ClosedBy.OVERFLOW)
         if signature_check(n_i, n_r, self.cfg):
             self.verdicts.append(RopDetected(
@@ -238,124 +201,96 @@ class Detector:
                 trigger_pc=trigger_pc,
             ))
             self.stopped.add(pid)
-        self.bank.reset(t_m)
 
-    def handle_switch(self, in_pid: int) -> None:
-        """Park the outgoing process's partial interval; re-arm for the incoming one."""
+    def handle_switch(self, in_pid: int, n_i: int, n_r: int, n_m: int) -> int:
+        """Park the outgoing process's partial interval `(n_i, n_r, n_m)`.
+
+        Returns the threshold armed for the incoming process: `t_m` less
+        the mispredictions it has parked.
+        """
         out_pid = self.cur
         t_m = self.cfg.t_m
-        bank = self.bank
-        if not self.cfg.table_enabled:
-            # Vulnerable baseline: the partial interval is discarded wholesale.
-            b_i, b_r, b_m = bank.read()
-            if (b_i or b_r or b_m) and out_pid not in self.stopped:
-                self._emit_interval(out_pid, b_i, b_r, b_m, ClosedBy.SWITCH)
-            bank.reset(t_m)
-        else:
-            if out_pid not in self.stopped:
-                b_i, b_r, b_m = bank.read()
-                if b_i or b_r or b_m:
-                    entry = self.table.find_or_create(out_pid)
-                    entry.accumulate(b_i, b_r, b_m, self.saturating)
-                    if entry.n_m > t_m:
-                        raise AssertionError(
-                            f"entry n_m {entry.n_m} exceeds interval size {t_m}")
-                    if entry.n_m == t_m:
-                        # Unreachable while overflow is synchronous (the bank
-                        # signals at the residual threshold first); kept for
-                        # fidelity with the accumulate-then-check scheme.
-                        rec = self._emit_interval(out_pid, entry.n_i, entry.n_r,
-                                                  entry.n_m, ClosedBy.SWITCH)
-                        if signature_check(entry.n_i, entry.n_r, self.cfg):
-                            pc = self._last_mispred_pc.get(out_pid, 0)
-                            self.verdicts.append(RopDetected(
-                                pid=out_pid,
-                                level=classify_address(pc),
-                                interval_index=rec.index,
-                                n_i=entry.n_i,
-                                n_r=entry.n_r,
-                                trigger_pc=pc,
-                            ))
-                            self.stopped.add(out_pid)
-                        self.table.clear(out_pid)
-            in_entry = self.table.find(in_pid)
-            residue = in_entry.n_m if in_entry is not None else 0
-            bank.reset(t_m - residue)
+        # A stopped process counts nothing, so live counts imply a monitored one.
+        if n_i or n_r or n_m:
+            if not self.cfg.table_enabled:
+                # Vulnerable baseline: the partial interval is discarded wholesale.
+                self._emit_interval(out_pid, n_i, n_r, n_m, ClosedBy.SWITCH)
+            else:
+                entry = self.table.get(out_pid)
+                if entry is None:
+                    entry = self.table[out_pid] = ProcessEntry(out_pid)
+                entry.accumulate(n_i, n_r, n_m)
+                # The threshold closes an interval as soon as n_m reaches
+                # t_m, so a parked interval is always partial.
+                if entry.n_m >= t_m:
+                    raise AssertionError(
+                        f"parked n_m {entry.n_m} reaches interval size {t_m}")
+        # Without the table nothing is parked, so every process gets t_m.
+        in_entry = self.table.get(in_pid)
         if self.flush_ras_on_switch:
             self.ras.flush()
         self.cur = in_pid
+        return t_m if in_entry is None else t_m - in_entry.n_m
 
     # -- main loop ------------------------------------------------------------
 
     def run(self, trace: Trace) -> DetectionReport:
         if self._finished:
             raise RuntimeError("detector instances are single-use")
-        self.cur = trace.initial_process
-        cfg = self.cfg
-        bank = self.bank
-        record = bank.record
-        instr = EventKind.INSTR
-        ret = EventKind.RET
-        mispred_ret = EventKind.MISPRED_RET
+        self.cur = cur = trace.initial_process
+        t_m = self.cfg.t_m
         ras = self.ras
         on_call = ras.on_call
         on_return = ras.on_return
         stopped = self.stopped
-        last_mispred_pc = self._last_mispred_pc
-        plain_t, call_t, return_t, switch_t = Plain, Call, Return, Switch
+        plain_t, call_t, switch_t = Plain, Call, Switch
 
-        cur = self.cur
+        # Live counts of the current interval, and the mispredicted-return
+        # count that closes it.
+        n_i = n_r = n_m = 0
+        armed = t_m
         for ev in trace.events:
             cls = ev.__class__
             if cls is switch_t:
-                self.handle_switch(ev.next_pid)
+                armed = self.handle_switch(ev.next_pid, n_i, n_r, n_m)
+                n_i = n_r = n_m = 0
                 cur = self.cur
                 continue
             if cur in stopped:
                 continue
+            n_i += 1
             if cls is plain_t:
-                record(instr)
                 continue
             if cls is call_t:
                 on_call(ev.return_addr)
-                record(instr)
                 continue
-            # Return: predict first, then count.
-            mispredicted = on_return(ev.actual_target)
-            record(instr)
-            record(ret)
-            if mispredicted:
-                last_mispred_pc[cur] = ev.pc
-                if record(mispred_ret):
-                    self._overflow(ev.pc)
-        return self.finish()
+            # Return: counted, then predicted; a miss may close the interval.
+            n_r += 1
+            if on_return(ev.actual_target):
+                n_m += 1
+                if n_m == armed:
+                    self._overflow(ev.pc, n_i, n_r, n_m)
+                    n_i = n_r = n_m = 0
+                    armed = t_m
+        return self.finish(n_i, n_r, n_m)
 
-    def finish(self) -> DetectionReport:
+    def finish(self, n_i: int, n_r: int, n_m: int) -> DetectionReport:
         """Close the open interval (never checked: it is incomplete)."""
         if self._finished:
             raise RuntimeError("detector instances are single-use")
         self._finished = True
         pid = self.cur
-        if pid is not None and pid not in self.stopped:
-            b_i, b_r, b_m = self.bank.read()
-            entry = self.table.find(pid) if self.cfg.table_enabled else None
-            if entry is not None:
-                n_i = self._combine(entry.n_i, b_i)
-                n_r = self._combine(entry.n_r, b_r)
-                n_m = entry.n_m + b_m
-            else:
-                n_i, n_r, n_m = b_i, b_r, b_m
-            if n_i or n_r or n_m:
-                self._emit_interval(pid, n_i, n_r, n_m, ClosedBy.END_OF_TRACE)
+        # A stopped process has neither live nor parked counts.
+        n_i, n_r, n_m = self._unpark(pid, n_i, n_r, n_m)
+        if n_i or n_r or n_m:
+            self._emit_interval(pid, n_i, n_r, n_m, ClosedBy.END_OF_TRACE)
         return DetectionReport(self.verdicts, self.intervals)
 
 
 def run(trace: Trace, cfg: DetectorConfig | None = None, *,
         ras_capacity: int = DEFAULT_CAPACITY,
-        flush_ras_on_switch: bool = False,
-        saturating_entries: bool = True) -> DetectionReport:
+        flush_ras_on_switch: bool = False) -> DetectionReport:
     """Run one detection pass over `trace`; deterministic in its arguments."""
     det = Detector(cfg, ras_capacity=ras_capacity,
-                   flush_ras_on_switch=flush_ras_on_switch,
-                   saturating_entries=saturating_entries)
+                   flush_ras_on_switch=flush_ras_on_switch)
     return det.run(trace)

@@ -15,7 +15,8 @@ import random
 from dataclasses import dataclass, field
 from typing import IO
 
-from .detector import ClosedBy, DetectionReport, DetectorConfig, run
+from .detector import (SATURATE_AT, ClosedBy, DetectionReport,
+                       DetectorConfig, run)
 from .trace import PrivilegeLevel, Trace
 from .workload import BenignSpec, GAP_PROFILES, RopSpec, gen_benign, gen_rop
 
@@ -57,6 +58,11 @@ class SweepSpecError(ValueError):
     """A sweep spec document that cannot be used."""
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class SweepSpec:
     t_m_values: list[int] = field(default_factory=lambda: [6])
@@ -93,17 +99,20 @@ class SweepSpec:
             if name in data:
                 value = data[name]
                 if (not isinstance(value, list) or not value
-                        or not all(isinstance(v, int) for v in value)):
+                        or not all(_is_int(v) for v in value)):
                     raise SweepSpecError(f"{name} must be a non-empty list of ints")
                 kwargs[name] = value
         for name in cls._INTS:
             if name in data:
-                if not isinstance(data[name], int):
+                if not _is_int(data[name]):
                     raise SweepSpecError(f"{name} must be an int")
                 kwargs[name] = data[name]
         spec = cls(**kwargs)
         if any(v < 1 for v in spec.t_m_values) or any(v < 1 for v in spec.t_i_values):
             raise SweepSpecError("t_m and t_i values must be >= 1")
+        if max(spec.t_m_values) * max(spec.t_i_values) >= SATURATE_AT:
+            raise SweepSpecError(
+                "every t_m * t_i must be below 255 (one-byte table entries)")
         if any(g < 1 for g in spec.g_values):
             raise SweepSpecError("g_values must be >= 1")
         if any(o < 0 for o in spec.alignment_offsets):

@@ -75,7 +75,6 @@ class RopSpec:
 class InterleaveSpec:
     parts: list[tuple[int, Trace]]
     schedule: list[tuple[int, int]]
-    split_rop: bool = False
 
 
 # -- replay helpers -----------------------------------------------------------
@@ -203,6 +202,8 @@ def gen_benign(spec: BenignSpec) -> Trace:
         raise GenerationError(f"unknown gap profile {spec.gap_profile!r}")
     if spec.total_instructions < 1:
         raise GenerationError("total_instructions must be positive")
+    if spec.ras_capacity < 1:
+        raise GenerationError("ras_capacity must be >= 1")
     if spec.mispredict_burst_count and spec.max_benign_mispredict_chain < 1:
         raise GenerationError("bursts requested but the mispredict chain cap is 0")
 

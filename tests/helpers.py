@@ -114,5 +114,4 @@ def split_attack_trace(seed: int, t_m: int = 6) -> tuple[Trace, int]:
             schedule.append((pid, sizes[i]))
         if i < quanta:
             schedule.append((rop_pid, rop_sizes[i]))
-    return interleave(InterleaveSpec(parts=parts, schedule=schedule,
-                                     split_rop=True)), rop_pid
+    return interleave(InterleaveSpec(parts=parts, schedule=schedule)), rop_pid

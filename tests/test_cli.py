@@ -53,6 +53,13 @@ class TestGenerate:
         assert code == 1
         assert "too small" in err
 
+    def test_gen_normal_zero_ras_capacity_errors(self, capsys):
+        code, _, err = run_cli(["gen-normal", "--ras-capacity", "0",
+                                "--events", "1000", "--bursts", "1"], capsys)
+        assert code == 1
+        assert "ropsim: error:" in err
+        assert "ras_capacity" in err
+
     def test_bad_gadget_sizes_value(self, capsys):
         code, _, err = run_cli(["gen-rop", "--gadget-sizes", "2,x"], capsys)
         assert code == 1
@@ -149,6 +156,17 @@ class TestInterleaveCommand:
         assert code == 1
         assert "consume" in err
 
+    def test_parts_must_map_pids_to_paths(self, tmp_path, capsys):
+        spec_path = tmp_path / "weave.json"
+        for spec in ({"parts": [1], "schedule": []},
+                     {"parts": "a.trace", "schedule": []},
+                     {"parts": {"1": 0}, "schedule": [[1, 1]]}):
+            spec_path.write_text(json.dumps(spec))
+            code, _, err = run_cli(["interleave", str(spec_path)], capsys)
+            assert code == 1, spec
+            assert "ropsim: error:" in err, spec
+            assert "Traceback" not in err, spec
+
 
 class TestScatter:
     def _corpus(self, tmp_path):
@@ -223,3 +241,13 @@ class TestSweepCommand:
         code, _, err = run_cli(["sweep", str(spec_path),
                                 "--out", str(tmp_path / "o")], capsys)
         assert code == 1
+
+    def test_bool_and_saturating_specs_rejected(self, tmp_path, capsys):
+        spec_path = tmp_path / "sweep.json"
+        for spec in ({"benign_count": True}, {"t_m_values": [True]},
+                     {"t_m_values": [300]}, {"t_m_values": [6, 43]}):
+            spec_path.write_text(json.dumps(spec))
+            code, _, err = run_cli(["sweep", str(spec_path),
+                                    "--out", str(tmp_path / "o")], capsys)
+            assert code == 1, spec
+            assert err.startswith("ropsim: error: bad sweep spec"), spec

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ropsim.detector import (ClosedBy, Detector, DetectorConfig, ProcessEntry,
                              RopDetected, run, signature_check)
@@ -10,6 +12,7 @@ from ropsim.trace import (Call, Plain, PrivilegeLevel, Return, Switch, Trace,
 from ropsim.workload import (BenignSpec, InterleaveSpec, RopSpec, gen_benign,
                              gen_rop, interleave)
 
+from helpers import chaos_trace, split_attack_trace
 from oracle import detector_verdict_tuples, reference_verdicts
 
 
@@ -54,6 +57,8 @@ class TestBasicVerdicts:
         report = run(rop_trace(size=8))
         assert report.clean
         overflow = [r for r in report.intervals if r.closed_by is ClosedBy.OVERFLOW]
+        # One interval per t_m mispredictions, never a second signal.
+        assert len(overflow) == 2
         assert all(r.n_i == 48 for r in overflow)
 
     def test_single_gadget_cannot_fill_an_interval(self):
@@ -131,31 +136,43 @@ def _switch_probe(events):
 
 class TestSwitchHandling:
     def test_exit_side_creates_entry_with_bank_values(self):
-        # pid 1: 8 plains + 2 bare returns -> bank (10, 2, 2), parked on switch.
+        # pid 1: 8 plains + 2 bare returns -> counts (10, 2, 2), parked on switch.
         events = [Plain(i * 4) for i in range(8)]
         events += [Return(0x100, 0x5000), Return(0x104, 0x6000)]
         events.append(Switch(2))
         det = Detector()
         det.run(Trace(1, events))
         # finish() ran at end of trace; the entry is still parked for pid 1.
-        entry = det.table.find(1)
+        entry = det.table.get(1)
         assert (entry.n_i, entry.n_r, entry.n_m) == (10, 2, 2)
-        assert entry.pack() == bytes([10, 2, 2])
 
     def test_entry_side_sets_residual_threshold(self):
         # pid 1 accumulates 4 mispredictions, is switched out and back in:
-        # the sampling threshold must re-arm at 6 - 4 = 2.
-        events = [Return(0x100 + 4 * i, 0x9000 + i) for i in range(4)]
-        events += [Switch(2), Plain(0), Switch(1)]
-        det = Detector()
-        det.run(Trace(1, events))
-        assert det.bank.mispred_ret.threshold == 2
+        # the threshold re-arms at 6 - 4 = 2, so one more miss closes
+        # nothing and two close one interval.
+        pre = [Return(0x100 + 4 * i, 0x9000 + i) for i in range(4)]
+        mid = [Switch(2), Plain(0), Switch(1)]
+        post = [Return(0x200 + 4 * i, 0xA000 + i) for i in range(2)]
+        one_more = run(Trace(1, pre + mid + post[:1]))
+        assert not [r for r in one_more.intervals
+                    if r.closed_by is ClosedBy.OVERFLOW]
+        two_more = run(Trace(1, pre + mid + post))
+        overflow = [r for r in two_more.intervals
+                    if r.closed_by is ClosedBy.OVERFLOW]
+        assert [(r.pid, r.n_m) for r in overflow] == [(1, 6)]
+        assert two_more.verdicts[0].trigger_pc == 0x204
 
     def test_fresh_process_gets_full_threshold(self):
-        events = [Return(0x100, 0x9000), Switch(2)]
-        det = Detector()
-        det.run(Trace(1, events))
-        assert det.bank.mispred_ret.threshold == 6
+        # pid 1 parks 4 mispredictions; pid 2 has parked none and needs
+        # all 6 of its own.
+        events = [Return(0x100 + 4 * i, 0x9000 + i) for i in range(4)]
+        events.append(Switch(2))
+        pid2 = [Return(0x200 + 4 * i, 0xA000 + i) for i in range(6)]
+        five = run(Trace(1, events + pid2[:5]))
+        assert not [r for r in five.intervals if r.closed_by is ClosedBy.OVERFLOW]
+        six = run(Trace(1, events + pid2))
+        overflow = [r for r in six.intervals if r.closed_by is ClosedBy.OVERFLOW]
+        assert [(r.pid, r.n_m) for r in overflow] == [(2, 6)]
 
     def test_carried_interval_counts_whole_interval(self):
         # 4 mispredictions before the switch, 2 after: the completed interval
@@ -179,7 +196,7 @@ class TestSwitchHandling:
         post = [Return(0x200 + 4 * i, 0xA000 + i) for i in range(2)]
         det = Detector()
         det.run(Trace(1, pre + pad + [Switch(2), Plain(0), Switch(1)] + post))
-        assert det.table.find(1) is None
+        assert det.table.get(1) is None
         assert det.verdicts == []
 
     def test_no_table_discards_partial_interval(self):
@@ -213,8 +230,7 @@ class TestSplitChain:
         spec = InterleaveSpec(
             parts=[(1, benign), (7, rop)],
             schedule=[(1, 1000), (7, cut1), (1, 1000), (7, cut2 - cut1),
-                      (1, 500), (7, n - cut2), (1, b - 2500)],
-            split_rop=True)
+                      (1, 500), (7, n - cut2), (1, b - 2500)])
         trace = interleave(spec)
         with_table = run(trace)
         assert with_table.detected_pids() == {7}
@@ -246,18 +262,11 @@ class TestProcessEntry:
         entry.accumulate(100, 40, 2)
         assert (entry.n_i, entry.n_r, entry.n_m) == (255, 240, 5)
 
-    def test_unbounded_mode(self):
-        entry = ProcessEntry(1)
-        entry.accumulate(200, 200, 3, saturating=False)
-        entry.accumulate(100, 40, 2, saturating=False)
-        assert (entry.n_i, entry.n_r, entry.n_m) == (300, 240, 5)
-
-    def test_packs_to_three_bytes(self):
+    def test_stored_counts_fit_one_byte(self):
         entry = ProcessEntry(9)
         entry.accumulate(300, 17, 4)
-        packed = entry.pack()
-        assert len(packed) == 3
-        assert packed == bytes([255, 17, 4])
+        # bytes() raises ValueError on a count above 255.
+        assert bytes([entry.n_i, entry.n_r, entry.n_m]) == bytes([255, 17, 4])
 
 
 class TestConfig:
@@ -266,6 +275,33 @@ class TestConfig:
             DetectorConfig(t_m=0)
         with pytest.raises(ValueError):
             DetectorConfig(t_i=0)
+
+    def test_rejects_configurations_the_table_cannot_hold(self):
+        for t_m, t_i in ((50, 6), (255, 1), (1, 255), (51, 5), (17, 15)):
+            with pytest.raises(ValueError):
+                DetectorConfig(t_m=t_m, t_i=t_i)
+        for t_m, t_i in ((50, 5), (254, 1), (1, 254), (6, 6)):
+            DetectorConfig(t_m=t_m, t_i=t_i)
+
+    def test_saturated_park_is_not_a_false_positive(self):
+        # A benign pid: 600 plains and 40 bare returns, switched out and
+        # back, then 10 more bare returns.  The parked n_i clamps to 255.
+        # At t_m=50, t_i=6 the limit of 300 would pass the clamped count
+        # though the true 650 fails; that configuration is refused.
+        events = [Plain(4 * i) for i in range(600)]
+        events += [Return(0x1000 + 4 * i, 0x9000 + 4 * i) for i in range(40)]
+        events += [Switch(2), Plain(0), Switch(1)]
+        events += [Return(0x2000 + 4 * i, 0xA000 + 4 * i) for i in range(10)]
+        trace = Trace(1, events)
+        assert reference_verdicts(trace, 50, 6, 16) == []
+        with pytest.raises(ValueError):
+            DetectorConfig(t_m=50, t_i=6)
+        # Limit 250 < 255: the clamped count fails as the true one does.
+        report = run(trace, DetectorConfig(t_m=50, t_i=5))
+        assert report.clean
+        assert reference_verdicts(trace, 50, 5, 16) == []
+        overflow = [r for r in report.intervals if r.closed_by is ClosedBy.OVERFLOW]
+        assert [(r.n_i, r.n_r, r.n_m) for r in overflow] == [(255, 50, 50)]
 
     def test_detector_is_single_use(self):
         det = Detector()
@@ -301,3 +337,56 @@ class TestReportSerialization:
     def test_clean_report_serializes_empty(self):
         report = run(Trace(1, []))
         assert report.to_jsonl() == ""
+
+
+# -- agreement with the oracle over the configurations the API accepts ---------
+
+@st.composite
+def configs(draw):
+    """(t_m, t_i) with t_i * t_m < 255, mostly small enough to close intervals."""
+    t_m = draw(st.one_of(st.integers(1, 12), st.integers(1, 254)))
+    return t_m, draw(st.integers(1, 254 // t_m))
+
+
+def _assert_agrees(trace, t_m, t_i, capacity, flush, table):
+    cfg = DetectorConfig(t_m=t_m, t_i=t_i, table_enabled=table)
+    got = detector_verdict_tuples(run(trace, cfg, ras_capacity=capacity,
+                                      flush_ras_on_switch=flush))
+    want = reference_verdicts(trace, t_m, t_i, capacity, table_enabled=table,
+                              flush_ras_on_switch=flush)
+    assert got == want
+
+
+def _long_park_trace(plains, before, gap, after):
+    """pid 1: plains and bare returns, parked across pid 2's quantum, then more."""
+    events = [Plain(4 * i) for i in range(plains)]
+    events += [Return(0x1000 + 4 * i, 0x9000 + 4 * i) for i in range(before)]
+    events += [Switch(2)] + [Plain(0x100 + 4 * i) for i in range(gap)] + [Switch(1)]
+    events += [Return(0x2000 + 4 * i, 0xA000 + 4 * i) for i in range(after)]
+    return Trace(1, events)
+
+
+class TestOracleAgreement:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), cfg=configs(),
+           capacity=st.integers(1, 32), flush=st.booleans(), table=st.booleans())
+    def test_chaos_traces(self, seed, cfg, capacity, flush, table):
+        _assert_agrees(chaos_trace(random.Random(seed)), *cfg, capacity, flush, table)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), t_m=st.integers(2, 12),
+           data=st.data(), capacity=st.integers(1, 32), flush=st.booleans(),
+           table=st.booleans())
+    def test_split_attack_traces(self, seed, t_m, data, capacity, flush, table):
+        t_i = data.draw(st.integers(1, 254 // t_m))
+        trace, _ = split_attack_trace(seed, t_m)
+        _assert_agrees(trace, t_m, t_i, capacity, flush, table)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(cfg=configs(), plains=st.integers(256, 700), before=st.integers(0, 60),
+           gap=st.integers(0, 3), after=st.integers(0, 60), table=st.booleans())
+    @example(cfg=(50, 5), plains=600, before=40, gap=1, after=10, table=True)
+    def test_parks_of_more_than_255_instructions(self, cfg, plains, before, gap,
+                                                 after, table):
+        trace = _long_park_trace(plains, before, gap, after)
+        _assert_agrees(trace, *cfg, 16, False, table)

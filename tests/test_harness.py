@@ -60,6 +60,20 @@ class TestSweepSpec:
         with pytest.raises(SweepSpecError):
             SweepSpec.from_mapping([1, 2])
 
+    def test_rejects_bools_where_ints_are_expected(self):
+        for doc in ({"benign_count": True}, {"rop_reps": False},
+                    {"seeds": [0, True]}, {"t_i_values": [False]}):
+            with pytest.raises(SweepSpecError):
+                SweepSpec.from_mapping(doc)
+
+    def test_rejects_grids_the_table_cannot_hold(self):
+        for doc in ({"t_m_values": [300]}, {"t_m_values": [255], "t_i_values": [1]},
+                    {"t_m_values": [4, 50], "t_i_values": [6, 5]}):
+            with pytest.raises(SweepSpecError):
+                SweepSpec.from_mapping(doc)
+        spec = SweepSpec.from_mapping({"t_m_values": [50], "t_i_values": [5]})
+        assert (spec.t_m_values, spec.t_i_values) == ([50], [5])
+
 
 SMALL_SPEC = {
     "t_m_values": [6, 10],

@@ -1,105 +1,143 @@
+"""The three hardware counters of the signature, as `Detector.run` counts them.
+
+Instructions and returns are counted; mispredicted returns are counted
+against an armed threshold that closes the interval on the event that
+reaches it.  Every guarantee is checked through detector output: the
+interval records and verdicts.
+"""
+
+import random
+
 import pytest
 
-from ropsim.hpc import Counter, CounterBank, EventKind
+from ropsim.detector import (ClosedBy, Detector, DetectorConfig, ProcessEntry,
+                             run)
+from ropsim.trace import Call, Plain, Return, Switch, Trace
+
+from helpers import chaos_trace
 
 
-def _feed_gadget(bank, size):
-    # One gadget: size instructions, the last a mispredicted return.
-    for _ in range(size):
-        bank.record(EventKind.INSTR)
-    bank.record(EventKind.RET)
-    return bank.record(EventKind.MISPRED_RET)
+def _overflow(report):
+    return [r for r in report.intervals if r.closed_by is ClosedBy.OVERFLOW]
+
+
+def _bare_returns(n, base=0x100, plains=0):
+    """`n` returns with no matching call, each after `plains` plain instructions."""
+    events = []
+    for i in range(n):
+        pc = base + 0x100 * i
+        events += [Plain(pc + 4 * j) for j in range(plains)]
+        events.append(Return(pc + 4 * plains, 0x9000 + 0x10 * i))
+    return events
+
+
+def _gadgets(sizes):
+    """One gadget per size: size - 1 plains, then a mispredicted return."""
+    events = []
+    for i, size in enumerate(sizes):
+        events += _bare_returns(1, base=0x10000 * (i + 1), plains=size - 1)
+    return events
 
 
 class TestCounterBank:
     def test_overflow_fires_exactly_at_threshold(self):
-        bank = CounterBank(6)
-        for _ in range(5):
-            assert bank.record(EventKind.MISPRED_RET) is False
-        assert bank.record(EventKind.MISPRED_RET) is True
-        assert bank.read()[2] == 6
+        five = run(Trace(1, _bare_returns(5)))
+        assert not _overflow(five)
+        assert five.intervals[-1].n_m == 5
+        events = _bare_returns(6)
+        six = run(Trace(1, events))
+        assert [r.n_m for r in _overflow(six)] == [6]
+        assert six.verdicts[0].trigger_pc == events[-1].pc
 
     def test_no_resignal_before_reset(self):
-        bank = CounterBank(3)
-        signals = [bank.record(EventKind.MISPRED_RET) for _ in range(10)]
-        assert signals.count(True) == 1
-        assert signals[2] is True
+        # 10 mispredictions at t_m=3, each after 20 plains so no interval
+        # passes: one signal per 3 misses, the last one left open.
+        report = run(Trace(1, _bare_returns(10, plains=20)), DetectorConfig(t_m=3))
+        assert [r.n_m for r in _overflow(report)] == [3, 3, 3]
+        assert report.intervals[-1].closed_by is ClosedBy.END_OF_TRACE
+        assert report.intervals[-1].n_m == 1
 
     def test_counting_mode_never_signals(self):
-        bank = CounterBank(6)
-        assert not any(bank.record(EventKind.INSTR) for _ in range(1000))
-        assert not any(bank.record(EventKind.RET) for _ in range(100))
+        events = [Plain(4 * i) for i in range(1000)]
+        for i in range(100):
+            events += [Call(0x8000 + 8 * i, 0x20000, 0x8004 + 8 * i),
+                       Return(0x20000, 0x8004 + 8 * i)]
+        report = run(Trace(1, events))
+        assert not _overflow(report)
+        rec = report.intervals[-1]
+        assert (rec.n_i, rec.n_r, rec.n_m) == (1200, 100, 0)
 
     def test_reset_zeroes_and_rearms(self):
-        bank = CounterBank(6)
-        for _ in range(4):
-            bank.record(EventKind.MISPRED_RET)
-        bank.record(EventKind.INSTR)
-        bank.reset(6)
-        assert bank.read() == (0, 0, 0)
-        bank.reset(2)
-        assert bank.record(EventKind.MISPRED_RET) is False
-        assert bank.record(EventKind.MISPRED_RET) is True
+        # Three failing intervals of identical shape: each record holds its
+        # own counts only, and a fresh interval needs all t_m misses again.
+        report = run(Trace(1, _gadgets([8] * 20)))
+        assert [(r.n_i, r.n_r, r.n_m) for r in _overflow(report)] == [(48, 6, 6)] * 3
+        assert (report.intervals[-1].n_i, report.intervals[-1].n_m) == (16, 2)
 
     def test_residual_threshold(self):
-        # Accumulated 4 of 6 mispredictions elsewhere: re-arm at 6 - 4 = 2.
-        t_m, accumulated = 6, 4
-        bank = CounterBank(t_m)
-        bank.reset(t_m - accumulated)
-        assert bank.mispred_ret.threshold == 2
-        bank.record(EventKind.MISPRED_RET)
-        assert bank.record(EventKind.MISPRED_RET) is True
+        # 2 + 2 misses parked over two switches: re-armed at 6 - 4 = 2.
+        events = _bare_returns(2, plains=20)
+        events += [Switch(2), Plain(0), Switch(1)]
+        events += _bare_returns(2, base=0x2000, plains=20)
+        events += [Switch(3), Plain(0), Switch(1)]
+        events += _bare_returns(2, base=0x4000, plains=20)
+        report = run(Trace(1, events))
+        assert [(r.pid, r.n_m, r.n_r) for r in _overflow(report)] == [(1, 6, 6)]
+        det = Detector()
+        det.cur = 1
+        assert det.handle_switch(2, 42, 4, 4) == 6
+        assert det.handle_switch(1, 0, 0, 0) == 2
 
     def test_read_is_side_effect_free(self):
-        bank = CounterBank(6)
-        assert bank.read() == (0, 0, 0)
-        bank.record(EventKind.INSTR)
-        bank.record(EventKind.RET)
-        bank.record(EventKind.MISPRED_RET)
-        assert bank.read() == (1, 1, 1)
-        assert bank.read() == (1, 1, 1)
+        # Reading the counts at a switch does not change them: switching a
+        # process out and back with nothing run in between leaves its
+        # interval as it was.
+        events = _bare_returns(4)
+        plain = run(Trace(1, events + _bare_returns(2, base=0x4000)))
+        idle = [Switch(2), Switch(1)] * 3
+        switched = run(Trace(1, events + idle + _bare_returns(2, base=0x4000)))
+        assert ([(r.n_i, r.n_r, r.n_m) for r in _overflow(switched)]
+                == [(r.n_i, r.n_r, r.n_m) for r in _overflow(plain)]
+                == [(6, 6, 6)])
+        assert switched.verdicts == plain.verdicts
 
     def test_six_four_instruction_gadgets_read_24_6_6(self):
-        bank = CounterBank(6)
-        overflowed = [_feed_gadget(bank, 4) for _ in range(6)]
-        assert bank.read() == (24, 6, 6)
-        assert overflowed == [False] * 5 + [True]
+        report = run(Trace(1, _gadgets([4] * 6)))
+        assert [(r.n_i, r.n_r, r.n_m) for r in _overflow(report)] == [(24, 6, 6)]
+        assert not report.clean
 
     def test_zero_threshold_rejected(self):
-        bank = CounterBank(6)
+        # The first threshold armed is t_m itself.
         with pytest.raises(ValueError):
-            bank.reset(0)
-        with pytest.raises(ValueError):
-            CounterBank(0)
+            DetectorConfig(t_m=0)
 
     def test_counts_are_monotone_within_cycle(self):
-        bank = CounterBank(6)
-        last = (0, 0, 0)
-        for i in range(30):
-            bank.record((EventKind.INSTR, EventKind.RET,
-                         EventKind.MISPRED_RET)[i % 3])
-            now = bank.read()
-            assert all(a >= b for a, b in zip(now, last))
-            last = now
+        # A return is an instruction and a misprediction is a return.
+        for seed in range(30):
+            for rec in run(chaos_trace(random.Random(seed))).intervals:
+                assert rec.n_m <= rec.n_r <= rec.n_i
 
 
 class TestCounter:
     def test_standalone_sampling(self):
-        c = Counter(threshold=2)
-        assert c.increment() is False
-        assert c.increment() is True
-        assert c.increment() is False  # once per reset cycle
-        c.reset()
-        assert c.increment() is False
-        assert c.increment() is True
+        # t_m=1: every mispredicted return closes its own interval, and a
+        # correctly predicted one closes none.
+        events = _bare_returns(3, plains=10)
+        events += [Call(0x7000, 0x20000, 0x7004), Return(0x20000, 0x7004)]
+        report = run(Trace(1, events), DetectorConfig(t_m=1))
+        assert [(r.n_r, r.n_m) for r in _overflow(report)] == [(1, 1)] * 3
+        assert (report.intervals[-1].n_r, report.intervals[-1].n_m) == (1, 0)
 
     def test_counting_mode(self):
-        c = Counter()
-        assert not any(c.increment() for _ in range(50))
-        assert c.raw == 50
+        # Live counts are not one byte: only parked counts saturate.
+        report = run(Trace(1, [Plain(4 * i) for i in range(300)]))
+        assert report.intervals[-1].n_i == 300
 
     def test_bad_threshold(self):
-        with pytest.raises(ValueError):
-            Counter(threshold=0)
-        with pytest.raises(ValueError):
-            Counter(threshold=3).reset(0)
+        # A parked n_m of t_m would re-arm at zero: the switch refuses it.
+        det = Detector()
+        det.cur = 1
+        det.table[1] = entry = ProcessEntry(1)
+        entry.accumulate(6, 6, 5)
+        with pytest.raises(AssertionError):
+            det.handle_switch(2, 1, 1, 1)

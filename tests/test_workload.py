@@ -63,6 +63,12 @@ class TestBenignGenerator:
             gen_benign(BenignSpec(max_benign_mispredict_chain=0,
                                   mispredict_burst_count=1))
 
+    def test_zero_ras_capacity_rejected(self):
+        for bursts in (0, 1):
+            with pytest.raises(GenerationError, match="ras_capacity"):
+                gen_benign(BenignSpec(ras_capacity=0, total_instructions=1000,
+                                      mispredict_burst_count=bursts))
+
     def test_small_trace_without_bursts_is_fine(self):
         trace = gen_benign(BenignSpec(total_instructions=10,
                                       mispredict_burst_count=0, seed=0))

@@ -23,6 +23,15 @@ def rop_trace(g=12, size=4, region=PrivilegeLevel.USER, **kw):
                            address_region=region, **kw))
 
 
+def _long_park_trace(plains, before, gap, after):
+    """pid 1: plains and bare returns, parked across pid 2's quantum, then more."""
+    events = [Plain(4 * i) for i in range(plains)]
+    events += [Return(0x1000 + 4 * i, 0x9000 + 4 * i) for i in range(before)]
+    events += [Switch(2)] + [Plain(0x100 + 4 * i) for i in range(gap)] + [Switch(1)]
+    events += [Return(0x2000 + 4 * i, 0xA000 + 4 * i) for i in range(after)]
+    return Trace(1, events)
+
+
 class TestSignatureCheck:
     def test_six_gadgets_of_four_instructions(self):
         assert signature_check(24, 6, DetectorConfig()) is True
@@ -288,11 +297,7 @@ class TestConfig:
         # back, then 10 more bare returns.  The parked n_i clamps to 255.
         # At t_m=50, t_i=6 the limit of 300 would pass the clamped count
         # though the true 650 fails; that configuration is refused.
-        events = [Plain(4 * i) for i in range(600)]
-        events += [Return(0x1000 + 4 * i, 0x9000 + 4 * i) for i in range(40)]
-        events += [Switch(2), Plain(0), Switch(1)]
-        events += [Return(0x2000 + 4 * i, 0xA000 + 4 * i) for i in range(10)]
-        trace = Trace(1, events)
+        trace = _long_park_trace(600, 40, 1, 10)
         assert reference_verdicts(trace, 50, 6, 16) == []
         with pytest.raises(ValueError):
             DetectorConfig(t_m=50, t_i=6)
@@ -355,15 +360,6 @@ def _assert_agrees(trace, t_m, t_i, capacity, flush, table):
     want = reference_verdicts(trace, t_m, t_i, capacity, table_enabled=table,
                               flush_ras_on_switch=flush)
     assert got == want
-
-
-def _long_park_trace(plains, before, gap, after):
-    """pid 1: plains and bare returns, parked across pid 2's quantum, then more."""
-    events = [Plain(4 * i) for i in range(plains)]
-    events += [Return(0x1000 + 4 * i, 0x9000 + 4 * i) for i in range(before)]
-    events += [Switch(2)] + [Plain(0x100 + 4 * i) for i in range(gap)] + [Switch(1)]
-    events += [Return(0x2000 + 4 * i, 0xA000 + 4 * i) for i in range(after)]
-    return Trace(1, events)
 
 
 class TestOracleAgreement:

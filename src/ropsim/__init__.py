@@ -7,9 +7,8 @@ interval whose counts match a gadget chain: exactly `t_m` returns and at
 most `t_i * t_m` instructions.
 """
 
-from .detector import (ClosedBy, DetectionReport, Detector, DetectorConfig,
-                       IntervalRecord, ProcessEntry, RopDetected, run,
-                       signature_check)
+from .detector import (ClosedBy, DetectionReport, DetectorConfig,
+                       IntervalRecord, RopDetected, run, signature_check)
 from .ras import DEFAULT_CAPACITY, ReturnAddressStack
 from .trace import (ADDRESS_MASK, KERNEL_BASE, Call, Plain, PrivilegeLevel,
                     Return, Switch, Trace, TraceEvent, TraceParseError,
@@ -27,7 +26,7 @@ __all__ = [
     "TraceEvent", "TraceParseError", "classify_address", "parse_trace",
     "serialize_trace", "load_trace", "dump_trace",
     "ReturnAddressStack",
-    "Detector", "DetectorConfig", "DetectionReport", "ProcessEntry",
+    "DetectorConfig", "DetectionReport",
     "RopDetected", "IntervalRecord", "ClosedBy",
     "run", "signature_check",
     "BenignSpec", "RopSpec", "InterleaveSpec", "GenerationError",

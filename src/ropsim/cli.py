@@ -66,7 +66,9 @@ def _detector_flags(parser: argparse.ArgumentParser) -> None:
 
 def _config_from(args) -> DetectorConfig:
     return DetectorConfig(t_m=args.tm, t_i=args.ti,
-                          table_enabled=not args.no_table)
+                          table_enabled=not args.no_table,
+                          ras_capacity=args.ras_capacity,
+                          flush_ras_on_switch=args.flush_ras_on_switch)
 
 
 def build_parser() -> _Parser:
@@ -164,6 +166,10 @@ def cmd_interleave(args) -> int:
     if (not isinstance(doc["parts"], dict)
             or not all(isinstance(path, str) for path in doc["parts"].values())):
         return _fail("spec 'parts' must be an object mapping pids to trace paths")
+    if (not isinstance(doc["schedule"], list)
+            or not all(isinstance(item, list) and len(item) == 2
+                       for item in doc["schedule"])):
+        return _fail("spec 'schedule' must be a list of [pid, events] pairs")
     try:
         parts = [(int(pid), load_trace(path))
                  for pid, path in sorted(doc["parts"].items(), key=lambda kv: int(kv[0]))]
@@ -188,10 +194,9 @@ def cmd_detect(args) -> int:
         return _fail(f"{args.trace}: {exc}")
     try:
         cfg = _config_from(args)
-        report = run(trace, cfg, ras_capacity=args.ras_capacity,
-                     flush_ras_on_switch=args.flush_ras_on_switch)
     except ValueError as exc:
         return _fail(str(exc))
+    report = run(trace, cfg)
     sys.stdout.write(report.to_jsonl())
     return EXIT_DETECTED if report.verdicts else EXIT_CLEAN
 
@@ -223,8 +228,7 @@ def cmd_scatter(args) -> int:
             trace = load_trace(path)
         except (OSError, TraceParseError) as exc:
             return _fail(f"{path}: {exc}")
-        report = run(trace, cfg, ras_capacity=args.ras_capacity,
-                     flush_ras_on_switch=args.flush_ras_on_switch)
+        report = run(trace, cfg)
         point = scatter_point(path.stem, label, report)
         rows.append({"trace_id": point.trace_id, "label": point.label,
                      "min_n_r": point.min_n_r, "paired_n_i": point.paired_n_i})

@@ -117,6 +117,10 @@ class SweepSpec:
             raise SweepSpecError("g_values must be >= 1")
         if any(o < 0 for o in spec.alignment_offsets):
             raise SweepSpecError("alignment_offsets must be >= 0")
+        if spec.gadget_size_lo > spec.gadget_size_hi:
+            raise SweepSpecError("gadget_size_lo must not exceed gadget_size_hi")
+        if spec.ras_capacity < 1:
+            raise SweepSpecError("ras_capacity must be >= 1")
         return spec
 
 
@@ -131,8 +135,8 @@ def _trace_rows(spec: SweepSpec, trace: Trace, base: dict) -> list[dict]:
     rows = []
     for t_m in spec.t_m_values:
         for t_i in spec.t_i_values:
-            cfg = DetectorConfig(t_m=t_m, t_i=t_i)
-            report = run(trace, cfg, ras_capacity=spec.ras_capacity)
+            cfg = DetectorConfig(t_m=t_m, t_i=t_i, ras_capacity=spec.ras_capacity)
+            report = run(trace, cfg)
             point = scatter_point(base["trace_id"], base["kind"], report)
             overflow = sum(1 for r in report.intervals
                            if r.closed_by is ClosedBy.OVERFLOW)

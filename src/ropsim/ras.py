@@ -57,11 +57,3 @@ class ReturnAddressStack:
         """Drop all live entries (optional context-switch sensitivity mode)."""
         self.depth = 0
 
-    def live_entries(self) -> list[int]:
-        """Live predicted targets, most recent first."""
-        out = []
-        top = self._top
-        for _ in range(self.depth):
-            out.append(self._slots[top])
-            top = top - 1 if top else self.capacity - 1
-        return out

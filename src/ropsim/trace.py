@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Union
+from typing import IO, Union
 
 ADDRESS_MASK = 0xFFFFFFFF
 
-# Default split of the 32-bit virtual address space: everything at or
+# Split of the 32-bit virtual address space: everything at or
 # above this boundary is kernel memory.
 KERNEL_BASE = 0xC0000000
 
@@ -79,13 +79,13 @@ class TraceParseError(ValueError):
         self.line = line
 
 
-def classify_address(addr: int, kernel_base: int = KERNEL_BASE) -> PrivilegeLevel:
+def classify_address(addr: int) -> PrivilegeLevel:
     """Classify a virtual address as kernel or user space.
 
     The classification is total: every 32-bit address falls on exactly
     one side of the boundary.
     """
-    if kernel_base <= addr <= ADDRESS_MASK:
+    if KERNEL_BASE <= addr <= ADDRESS_MASK:
         return PrivilegeLevel.KERNEL
     return PrivilegeLevel.USER
 
@@ -192,12 +192,3 @@ def dump_trace(trace: Trace, file: Union[str, IO[str]]) -> None:
         with open(file, "w", encoding="ascii", newline="") as fh:
             fh.write(serialize_trace(trace))
 
-
-def iter_attributed(trace: Trace) -> Iterable[tuple[int, TraceEvent]]:
-    """Yield (pid, event) pairs with Switch markers applied and dropped."""
-    pid = trace.initial_process
-    for ev in trace.events:
-        if ev.__class__ is Switch:
-            pid = ev.next_pid
-        else:
-            yield pid, ev

@@ -86,8 +86,9 @@ def split_attack_trace(seed: int, t_m: int = 6) -> tuple[Trace, int]:
                 break
     chain_start = len(rop.events) - chain_len
 
-    quanta = rng.randint(2, 5)
     cut_candidates = list(range(chain_start + 1, len(rop.events)))
+    # A short chain (t_m = 1) may have too few cut points for 5 quanta.
+    quanta = rng.randint(2, min(5, len(cut_candidates) + 1))
     rop_cuts = _cut_into(rng, cut_candidates, quanta)
     rop_sizes = _piece_sizes(rop_cuts, len(rop.events))
 

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from ropsim.cli import build_parser, main
-from ropsim.trace import dump_trace, load_trace
+from ropsim.trace import Plain, Trace, dump_trace, load_trace
 from ropsim.workload import BenignSpec, RopSpec, gen_benign, gen_rop
 
 
@@ -167,6 +167,20 @@ class TestInterleaveCommand:
             assert "ropsim: error:" in err, spec
             assert "Traceback" not in err, spec
 
+    def test_schedule_must_be_pid_count_pairs(self, tmp_path, capsys):
+        # Each bad schedule reads as [(1, 9)] when its strings are unpacked
+        # character by character, and the part has exactly 9 events.
+        dump_trace(Trace(1, [Plain(4 * i) for i in range(9)]),
+                   tmp_path / "a.trace")
+        spec_path = tmp_path / "weave.json"
+        for schedule in (["19"], {"19": 1}):
+            spec = {"parts": {"1": str(tmp_path / "a.trace")},
+                    "schedule": schedule}
+            spec_path.write_text(json.dumps(spec))
+            code, _, err = run_cli(["interleave", str(spec_path)], capsys)
+            assert code == 1, schedule
+            assert "ropsim: error:" in err, schedule
+
 
 class TestScatter:
     def _corpus(self, tmp_path):
@@ -202,6 +216,14 @@ class TestScatter:
         d.mkdir()
         code, _, err = run_cli(["scatter", str(d)], capsys)
         assert code == 1
+
+    def test_zero_ras_capacity_rejected(self, tmp_path, capsys):
+        d = self._corpus(tmp_path)
+        code, _, err = run_cli(["scatter", str(d), "--ras-capacity", "0"],
+                               capsys)
+        assert code == 1
+        assert err.startswith("ropsim: error:")
+        assert "ras_capacity" in err
 
     def test_unlabeled_file_rejected(self, tmp_path, capsys):
         d = tmp_path / "corpus"
@@ -246,6 +268,16 @@ class TestSweepCommand:
         spec_path = tmp_path / "sweep.json"
         for spec in ({"benign_count": True}, {"t_m_values": [True]},
                      {"t_m_values": [300]}, {"t_m_values": [6, 43]}):
+            spec_path.write_text(json.dumps(spec))
+            code, _, err = run_cli(["sweep", str(spec_path),
+                                    "--out", str(tmp_path / "o")], capsys)
+            assert code == 1, spec
+            assert err.startswith("ropsim: error: bad sweep spec"), spec
+
+    def test_bad_capacity_and_gadget_range_rejected(self, tmp_path, capsys):
+        spec_path = tmp_path / "sweep.json"
+        for spec in ({"ras_capacity": 0},
+                     {"gadget_size_lo": 5, "gadget_size_hi": 3}):
             spec_path.write_text(json.dumps(spec))
             code, _, err = run_cli(["sweep", str(spec_path),
                                     "--out", str(tmp_path / "o")], capsys)

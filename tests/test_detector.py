@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ropsim.detector import (ClosedBy, Detector, DetectorConfig, ProcessEntry,
-                             RopDetected, run, signature_check)
+from ropsim.detector import (ClosedBy, DetectorConfig, RopDetected, run,
+                             signature_check)
 from ropsim.trace import (Call, Plain, PrivilegeLevel, Return, Switch, Trace,
                           parse_trace, serialize_trace)
 from ropsim.workload import (BenignSpec, InterleaveSpec, RopSpec, gen_benign,
@@ -136,29 +136,24 @@ class TestIntervals:
         assert all(r.n_i > 36 for r in overflow)
 
 
-def _switch_probe(events):
-    """Run a hand-built event list through a Detector and return it."""
-    det = Detector()
-    det.run(Trace(1, events))
-    return det
-
-
 class TestSwitchHandling:
     def test_exit_side_creates_entry_with_bank_values(self):
-        # pid 1: 8 plains + 2 bare returns -> counts (10, 2, 2), parked on switch.
+        # pid 1: 8 plains + 2 bare returns -> counts (10, 2, 2), parked on
+        # switch; switched back in, 4 more bare returns complete the
+        # interval on top of the parked counts.
         events = [Plain(i * 4) for i in range(8)]
         events += [Return(0x100, 0x5000), Return(0x104, 0x6000)]
-        events.append(Switch(2))
-        det = Detector()
-        det.run(Trace(1, events))
-        # finish() ran at end of trace; the entry is still parked for pid 1.
-        entry = det.table.get(1)
-        assert (entry.n_i, entry.n_r, entry.n_m) == (10, 2, 2)
+        events += [Switch(2), Switch(1)]
+        events += [Return(0x200 + 4 * i, 0xA000 + i) for i in range(4)]
+        report = run(Trace(1, events))
+        assert ([(r.pid, r.n_i, r.n_r, r.n_m) for r in report.intervals]
+                == [(1, 14, 6, 6)])
+        assert report.intervals[0].closed_by is ClosedBy.OVERFLOW
 
     def test_entry_side_sets_residual_threshold(self):
         # pid 1 accumulates 4 mispredictions, is switched out and back in:
-        # the threshold re-arms at 6 - 4 = 2, so one more miss closes
-        # nothing and two close one interval.
+        # its 4 are restored, so one more miss closes nothing and two
+        # close one interval.
         pre = [Return(0x100 + 4 * i, 0x9000 + i) for i in range(4)]
         mid = [Switch(2), Plain(0), Switch(1)]
         post = [Return(0x200 + 4 * i, 0xA000 + i) for i in range(2)]
@@ -198,15 +193,20 @@ class TestSwitchHandling:
         assert not report.clean
 
     def test_failed_check_clears_parked_entry(self):
-        # 4 mispreds + enough plain padding that the completed interval fails,
-        # then the entry must be gone.
+        # 4 mispreds + enough plain padding that the completed interval
+        # fails; the next interval then starts from zero, not from the
+        # parked counts.
         pre = [Return(0x100 + 4 * i, 0x9000 + i) for i in range(4)]
         pad = [Plain(i * 4) for i in range(40)]
         post = [Return(0x200 + 4 * i, 0xA000 + i) for i in range(2)]
-        det = Detector()
-        det.run(Trace(1, pre + pad + [Switch(2), Plain(0), Switch(1)] + post))
-        assert det.table.get(1) is None
-        assert det.verdicts == []
+        tail = [Return(0x300 + 4 * i, 0xB000 + i) for i in range(3)]
+        report = run(Trace(1, pre + pad + [Switch(2), Plain(0), Switch(1)]
+                           + post + tail))
+        assert report.clean
+        assert ([(r.n_i, r.n_r, r.n_m, r.closed_by) for r in report.intervals
+                 if r.pid == 1]
+                == [(46, 6, 6, ClosedBy.OVERFLOW),
+                    (3, 3, 3, ClosedBy.END_OF_TRACE)])
 
     def test_no_table_discards_partial_interval(self):
         events = [Return(0x100 + 4 * i, 0x9000 + i) for i in range(4)]
@@ -266,16 +266,32 @@ class TestSplitChain:
 
 class TestProcessEntry:
     def test_saturates_at_one_byte(self):
-        entry = ProcessEntry(1)
-        entry.accumulate(200, 200, 3)
-        entry.accumulate(100, 40, 2)
-        assert (entry.n_i, entry.n_r, entry.n_m) == (255, 240, 5)
+        # Parks of 200 and then 100 more plains: the parked interval closes
+        # with its instruction count clamped at 255, whether a counter
+        # overflow or the end of the trace closes it.
+        first = [Plain(4 * i) for i in range(200)] + [Switch(2), Switch(1)]
+        second = [Plain(0x1000 + 4 * i) for i in range(100)]
+        ended = run(Trace(1, first + second))
+        assert ([(r.n_i, r.closed_by) for r in ended.intervals]
+                == [(255, ClosedBy.END_OF_TRACE)])
+        misses = [Return(0x2000 + 4 * i, 0x9000 + i) for i in range(2)]
+        closed = run(Trace(1, first + second + [Switch(2), Switch(1)] + misses),
+                     DetectorConfig(t_m=2))
+        assert ([(r.n_i, r.n_r, r.n_m, r.closed_by) for r in closed.intervals]
+                == [(255, 2, 2, ClosedBy.OVERFLOW)])
 
     def test_stored_counts_fit_one_byte(self):
-        entry = ProcessEntry(9)
-        entry.accumulate(300, 17, 4)
+        # 300 instructions, 17 returns and 4 misses parked: the interval
+        # reads the counts a three-byte table entry holds.
+        events = [Plain(4 * i) for i in range(270)]
+        for i in range(13):
+            events += [Call(0x8000 + 8 * i, 0x20000, 0x8004 + 8 * i),
+                       Return(0x20000, 0x8004 + 8 * i)]
+        events += [Return(0x1000 + 4 * i, 0x9000 + i) for i in range(4)]
+        events += [Switch(2), Switch(1)]
+        rec = run(Trace(1, events)).intervals[-1]
         # bytes() raises ValueError on a count above 255.
-        assert bytes([entry.n_i, entry.n_r, entry.n_m]) == bytes([255, 17, 4])
+        assert bytes([rec.n_i, rec.n_r, rec.n_m]) == bytes([255, 17, 4])
 
 
 class TestConfig:
@@ -308,18 +324,12 @@ class TestConfig:
         overflow = [r for r in report.intervals if r.closed_by is ClosedBy.OVERFLOW]
         assert [(r.n_i, r.n_r, r.n_m) for r in overflow] == [(255, 50, 50)]
 
-    def test_detector_is_single_use(self):
-        det = Detector()
-        det.run(Trace(1, [Plain(0)]))
-        with pytest.raises(RuntimeError):
-            det.run(Trace(1, [Plain(0)]))
-
     def test_flush_ras_on_switch_breaks_cross_switch_matches(self):
         events = [Call(0x100, 0x2000, 0x104), Switch(2), Plain(0), Switch(1),
                   Return(0x2004, 0x104)]
         kept = run(Trace(1, events))
         assert not any(r.n_m for r in kept.intervals)
-        flushed = run(Trace(1, events), flush_ras_on_switch=True)
+        flushed = run(Trace(1, events), DetectorConfig(flush_ras_on_switch=True))
         assert any(r.n_m for r in flushed.intervals)
 
 
@@ -354,9 +364,9 @@ def configs(draw):
 
 
 def _assert_agrees(trace, t_m, t_i, capacity, flush, table):
-    cfg = DetectorConfig(t_m=t_m, t_i=t_i, table_enabled=table)
-    got = detector_verdict_tuples(run(trace, cfg, ras_capacity=capacity,
-                                      flush_ras_on_switch=flush))
+    cfg = DetectorConfig(t_m=t_m, t_i=t_i, table_enabled=table,
+                         ras_capacity=capacity, flush_ras_on_switch=flush)
+    got = detector_verdict_tuples(run(trace, cfg))
     want = reference_verdicts(trace, t_m, t_i, capacity, table_enabled=table,
                               flush_ras_on_switch=flush)
     assert got == want
@@ -370,13 +380,18 @@ class TestOracleAgreement:
         _assert_agrees(chaos_trace(random.Random(seed)), *cfg, capacity, flush, table)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(seed=st.integers(0, 2**32 - 1), t_m=st.integers(2, 12),
+    @given(seed=st.integers(0, 2**32 - 1), t_m=st.integers(1, 12),
            data=st.data(), capacity=st.integers(1, 32), flush=st.booleans(),
            table=st.booleans())
     def test_split_attack_traces(self, seed, t_m, data, capacity, flush, table):
         t_i = data.draw(st.integers(1, 254 // t_m))
         trace, _ = split_attack_trace(seed, t_m)
         _assert_agrees(trace, t_m, t_i, capacity, flush, table)
+
+    def test_split_attack_with_one_miss_per_interval(self):
+        # At t_m = 1 this chain spans too few events for 5 quanta.
+        trace, _ = split_attack_trace(2342, 1)
+        _assert_agrees(trace, 1, 6, 16, False, True)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(cfg=configs(), plains=st.integers(256, 700), before=st.integers(0, 60),

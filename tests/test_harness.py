@@ -59,6 +59,10 @@ class TestSweepSpec:
             SweepSpec.from_mapping({"benign_count": "ten"})
         with pytest.raises(SweepSpecError):
             SweepSpec.from_mapping([1, 2])
+        with pytest.raises(SweepSpecError):
+            SweepSpec.from_mapping({"ras_capacity": 0})
+        with pytest.raises(SweepSpecError):
+            SweepSpec.from_mapping({"gadget_size_lo": 5, "gadget_size_hi": 3})
 
     def test_rejects_bools_where_ints_are_expected(self):
         for doc in ({"benign_count": True}, {"rop_reps": False},

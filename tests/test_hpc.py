@@ -1,17 +1,16 @@
-"""The three hardware counters of the signature, as `Detector.run` counts them.
+"""The three hardware counters of the signature, as `run` counts them.
 
-Instructions and returns are counted; mispredicted returns are counted
-against an armed threshold that closes the interval on the event that
-reaches it.  Every guarantee is checked through detector output: the
-interval records and verdicts.
+Instructions and returns are counted; the mispredicted-return count
+closes the interval on the event that brings it to `t_m`.  Every
+guarantee is checked through detector output: the interval records and
+verdicts.
 """
 
 import random
 
 import pytest
 
-from ropsim.detector import (ClosedBy, Detector, DetectorConfig, ProcessEntry,
-                             run)
+from ropsim.detector import ClosedBy, DetectorConfig, run
 from ropsim.trace import Call, Plain, Return, Switch, Trace
 
 from helpers import chaos_trace
@@ -75,7 +74,8 @@ class TestCounterBank:
         assert (report.intervals[-1].n_i, report.intervals[-1].n_m) == (16, 2)
 
     def test_residual_threshold(self):
-        # 2 + 2 misses parked over two switches: re-armed at 6 - 4 = 2.
+        # 2 + 2 misses parked over two switches and restored each time: the
+        # last 2 misses complete the interval of 6.
         events = _bare_returns(2, plains=20)
         events += [Switch(2), Plain(0), Switch(1)]
         events += _bare_returns(2, base=0x2000, plains=20)
@@ -83,10 +83,6 @@ class TestCounterBank:
         events += _bare_returns(2, base=0x4000, plains=20)
         report = run(Trace(1, events))
         assert [(r.pid, r.n_m, r.n_r) for r in _overflow(report)] == [(1, 6, 6)]
-        det = Detector()
-        det.cur = 1
-        assert det.handle_switch(2, 42, 4, 4) == 6
-        assert det.handle_switch(1, 0, 0, 0) == 2
 
     def test_read_is_side_effect_free(self):
         # Reading the counts at a switch does not change them: switching a
@@ -107,7 +103,7 @@ class TestCounterBank:
         assert not report.clean
 
     def test_zero_threshold_rejected(self):
-        # The first threshold armed is t_m itself.
+        # An interval closes at t_m misses, so t_m must be at least 1.
         with pytest.raises(ValueError):
             DetectorConfig(t_m=0)
 
@@ -133,11 +129,3 @@ class TestCounter:
         report = run(Trace(1, [Plain(4 * i) for i in range(300)]))
         assert report.intervals[-1].n_i == 300
 
-    def test_bad_threshold(self):
-        # A parked n_m of t_m would re-arm at zero: the switch refuses it.
-        det = Detector()
-        det.cur = 1
-        det.table[1] = entry = ProcessEntry(1)
-        entry.accumulate(6, 6, 5)
-        with pytest.raises(AssertionError):
-            det.handle_switch(2, 1, 1, 1)

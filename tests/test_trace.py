@@ -4,8 +4,8 @@ import pytest
 
 from ropsim.trace import (ADDRESS_MASK, KERNEL_BASE, Call, Plain,
                           PrivilegeLevel, Return, Switch, Trace,
-                          TraceParseError, classify_address, iter_attributed,
-                          parse_trace, serialize_trace)
+                          TraceParseError, classify_address, parse_trace,
+                          serialize_trace)
 from ropsim.workload import BenignSpec, gen_benign
 
 from helpers import chaos_trace
@@ -31,10 +31,6 @@ class TestClassifyAddress:
             level = classify_address(addr)
             assert level is (PrivilegeLevel.KERNEL if addr >= KERNEL_BASE
                              else PrivilegeLevel.USER)
-
-    def test_custom_boundary(self):
-        assert classify_address(0x80000000, kernel_base=0x80000000) is PrivilegeLevel.KERNEL
-        assert classify_address(0x7FFFFFFF, kernel_base=0x80000000) is PrivilegeLevel.USER
 
 
 class TestParse:
@@ -120,12 +116,6 @@ class TestRoundTrip:
     def test_event_equality_is_type_aware(self):
         assert Plain(5) != Switch(5)
         assert Plain(5) == Plain(5)
-
-
-def test_iter_attributed_follows_switches():
-    t = Trace(1, [Plain(0), Switch(2), Plain(4), Switch(1), Plain(8)])
-    assert [(pid, ev.pc) for pid, ev in iter_attributed(t)] == [
-        (1, 0), (2, 4), (1, 8)]
 
 
 def test_instruction_count_excludes_switches():

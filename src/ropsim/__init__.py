@@ -7,9 +7,9 @@ interval whose counts match a gadget chain: exactly `t_m` returns and at
 most `t_i * t_m` instructions.
 """
 
-from .detector import (ClosedBy, DetectionReport, DetectorConfig,
-                       IntervalRecord, RopDetected, run, signature_check)
-from .ras import DEFAULT_CAPACITY, ReturnAddressStack
+from .detector import (DEFAULT_CAPACITY, ClosedBy, DetectionReport,
+                       DetectorConfig, IntervalRecord, RopDetected, run,
+                       signature_check)
 from .trace import (ADDRESS_MASK, KERNEL_BASE, Call, Plain, PrivilegeLevel,
                     Return, Switch, Trace, TraceEvent, TraceParseError,
                     classify_address, dump_trace, load_trace, parse_trace,
@@ -25,7 +25,6 @@ __all__ = [
     "PrivilegeLevel", "Plain", "Call", "Return", "Switch", "Trace",
     "TraceEvent", "TraceParseError", "classify_address", "parse_trace",
     "serialize_trace", "load_trace", "dump_trace",
-    "ReturnAddressStack",
     "DetectorConfig", "DetectionReport",
     "RopDetected", "IntervalRecord", "ClosedBy",
     "run", "signature_check",

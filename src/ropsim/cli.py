@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .detector import DetectorConfig, run
+from .detector import DEFAULT_CAPACITY, DetectorConfig, run
 from .harness import (ROW_FIELDS, SUMMARY_FIELDS, SweepSpec, SweepSpecError,
                       run_sweep, scatter_point, write_csv)
 from .trace import (PrivilegeLevel, TraceParseError, load_trace,
@@ -56,8 +56,9 @@ def _detector_flags(parser: argparse.ArgumentParser) -> None:
                         help="mispredicted returns per monitor interval (default 6)")
     parser.add_argument("--ti", type=int, default=6, metavar="N",
                         help="assumed max instructions per gadget (default 6)")
-    parser.add_argument("--ras-capacity", type=int, default=16, metavar="N",
-                        help="return-address-stack depth (default 16)")
+    parser.add_argument("--ras-capacity", type=int, default=DEFAULT_CAPACITY,
+                        metavar="N",
+                        help=f"return-address-stack depth (default {DEFAULT_CAPACITY})")
     parser.add_argument("--no-table", action="store_true",
                         help="disable the per-process lookup table (vulnerable mode)")
     parser.add_argument("--flush-ras-on-switch", action="store_true",
@@ -83,7 +84,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-chain", type=int, default=10, metavar="N",
                    help="cap on consecutive benign mispredictions")
     p.add_argument("--gap-profile", choices=GAP_PROFILES, default="mixed")
-    p.add_argument("--ras-capacity", type=int, default=16, metavar="N")
+    p.add_argument("--ras-capacity", type=int, default=DEFAULT_CAPACITY, metavar="N")
     p.add_argument("--seed", type=int, default=0, metavar="U64")
     p.add_argument("--out", metavar="PATH", help="output file (default stdout)")
 
@@ -228,10 +229,9 @@ def cmd_scatter(args) -> int:
             trace = load_trace(path)
         except (OSError, TraceParseError) as exc:
             return _fail(f"{path}: {exc}")
-        report = run(trace, cfg)
-        point = scatter_point(path.stem, label, report)
-        rows.append({"trace_id": point.trace_id, "label": point.label,
-                     "min_n_r": point.min_n_r, "paired_n_i": point.paired_n_i})
+        min_n_r, paired_n_i = scatter_point(run(trace, cfg))
+        rows.append({"trace_id": path.stem, "label": label,
+                     "min_n_r": min_n_r, "paired_n_i": paired_n_i})
     write_csv(rows, ["trace_id", "label", "min_n_r", "paired_n_i"], buf)
     _write_out(buf.getvalue(), args.out)
     return EXIT_CLEAN

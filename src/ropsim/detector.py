@@ -20,6 +20,15 @@ the switch.  An interval that was stored closes with the same clamp.  A
 clamped count must not pass the signature where the true count would
 fail, so configurations with `t_i * t_m >= 255` are rejected.
 
+Mispredictions come from a return-address-stack predictor, a small
+LIFO of predicted return targets.  A call pushes the address of the
+instruction after it; a return pops the top entry and the prediction is
+correct only when the popped address equals the architectural target.
+Pushing at capacity drops the oldest entry, so deep recursion unwinds
+into mispredictions, and a return with no entry (a gadget return with no
+associated call) always mispredicts.  `collections.deque(maxlen=...)`
+has exactly these semantics.
+
 All options are `DetectorConfig` fields: `table_enabled=False` disables
 the table (partial intervals are discarded at every switch), a
 deliberately vulnerable mode kept as a regression baseline;
@@ -31,13 +40,14 @@ from __future__ import annotations
 
 import enum
 import json
+from collections import deque
 from dataclasses import dataclass, field
 
-from .ras import DEFAULT_CAPACITY, ReturnAddressStack
 from .trace import (Call, Plain, PrivilegeLevel, Switch, Trace,
                     classify_address)
 
 SATURATE_AT = 0xFF  # one byte per stored event count
+DEFAULT_CAPACITY = 16  # return-address-stack entries
 
 
 @dataclass
@@ -140,9 +150,9 @@ def run(trace: Trace, cfg: DetectorConfig | None = None) -> DetectionReport:
     t_m = cfg.t_m
     table_enabled = cfg.table_enabled
     flush_ras_on_switch = cfg.flush_ras_on_switch
-    ras = ReturnAddressStack(cfg.ras_capacity)
-    on_call = ras.on_call
-    on_return = ras.on_return
+    ras: deque[int] = deque(maxlen=cfg.ras_capacity)
+    push = ras.append
+    pop = ras.pop
     plain_t, call_t, switch_t = Plain, Call, Switch
 
     table: dict[int, tuple[int, int, int]] = {}  # pid -> parked (n_i, n_r, n_m)
@@ -173,7 +183,7 @@ def run(trace: Trace, cfg: DetectorConfig | None = None) -> DetectionReport:
                     # Vulnerable baseline: the partial interval is discarded wholesale.
                     emit(cur, n_i, n_r, n_m, ClosedBy.SWITCH)
             if flush_ras_on_switch:
-                ras.flush()
+                ras.clear()
             cur = ev.next_pid
             parked = cur in table
             n_i, n_r, n_m = table.pop(cur) if parked else (0, 0, 0)
@@ -184,11 +194,11 @@ def run(trace: Trace, cfg: DetectorConfig | None = None) -> DetectionReport:
         if cls is plain_t:
             continue
         if cls is call_t:
-            on_call(ev.return_addr)
+            push(ev.return_addr)
             continue
         # Return: counted, then predicted; a miss may close the interval.
         n_r += 1
-        if on_return(ev.actual_target):
+        if not ras or pop() != ev.actual_target:
             n_m += 1
             if n_m == t_m:
                 if parked:

@@ -15,8 +15,8 @@ import random
 from dataclasses import dataclass, field
 from typing import IO
 
-from .detector import (SATURATE_AT, ClosedBy, DetectionReport,
-                       DetectorConfig, run)
+from .detector import (DEFAULT_CAPACITY, SATURATE_AT, ClosedBy,
+                       DetectionReport, DetectorConfig, run)
 from .trace import PrivilegeLevel, Trace
 from .workload import BenignSpec, GAP_PROFILES, RopSpec, gen_benign, gen_rop
 
@@ -32,26 +32,15 @@ def derive_seed(*parts: int) -> int:
     return x
 
 
-@dataclass(slots=True)
-class ScatterPoint:
-    trace_id: str
-    label: str  # "benign" | "rop"
-    min_n_r: int | None
-    paired_n_i: int | None
-
-
-def scatter_point(trace_id: str, label: str, report: DetectionReport) -> ScatterPoint:
+def scatter_point(report: DetectionReport) -> tuple[int | None, int | None]:
     """Smallest per-interval return count of the run, with its instruction count.
 
     Only intervals closed by a counter overflow qualify; a run that never
-    completed an interval yields absent coordinates.
+    completed an interval yields absent coordinates `(None, None)`.
     """
     points = [(r.n_r, r.n_i) for r in report.intervals
               if r.closed_by is ClosedBy.OVERFLOW]
-    if not points:
-        return ScatterPoint(trace_id, label, None, None)
-    n_r, n_i = min(points)
-    return ScatterPoint(trace_id, label, n_r, n_i)
+    return min(points) if points else (None, None)
 
 
 class SweepSpecError(ValueError):
@@ -78,7 +67,7 @@ class SweepSpec:
     gadget_size_lo: int = 2
     gadget_size_hi: int = 6
     rop_prologue: int = 200
-    ras_capacity: int = 16
+    ras_capacity: int = DEFAULT_CAPACITY
 
     _INT_LISTS = ("t_m_values", "t_i_values", "g_values",
                   "alignment_offsets", "seeds")
@@ -117,6 +106,12 @@ class SweepSpec:
             raise SweepSpecError("g_values must be >= 1")
         if any(o < 0 for o in spec.alignment_offsets):
             raise SweepSpecError("alignment_offsets must be >= 0")
+        if min(spec.benign_count, spec.rop_reps, spec.benign_bursts,
+               spec.rop_prologue) < 0:
+            raise SweepSpecError(
+                "benign_count, rop_reps, benign_bursts and rop_prologue must be >= 0")
+        if spec.gadget_size_lo < 1:
+            raise SweepSpecError("gadget_size_lo must be >= 1")
         if spec.gadget_size_lo > spec.gadget_size_hi:
             raise SweepSpecError("gadget_size_lo must not exceed gadget_size_hi")
         if spec.ras_capacity < 1:
@@ -137,12 +132,12 @@ def _trace_rows(spec: SweepSpec, trace: Trace, base: dict) -> list[dict]:
         for t_i in spec.t_i_values:
             cfg = DetectorConfig(t_m=t_m, t_i=t_i, ras_capacity=spec.ras_capacity)
             report = run(trace, cfg)
-            point = scatter_point(base["trace_id"], base["kind"], report)
+            min_n_r, paired_n_i = scatter_point(report)
             overflow = sum(1 for r in report.intervals
                            if r.closed_by is ClosedBy.OVERFLOW)
             row = dict(base)
             row.update(t_m=t_m, t_i=t_i, detected=int(not report.clean),
-                       min_n_r=point.min_n_r, paired_n_i=point.paired_n_i,
+                       min_n_r=min_n_r, paired_n_i=paired_n_i,
                        overflow_intervals=overflow)
             rows.append(row)
     return rows

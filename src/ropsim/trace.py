@@ -9,10 +9,12 @@ stream of retired-instruction events and context-switch markers:
     R <pc> <actual_target>         return with its architectural target
     X <pid>                        context switch to <pid>
 
-Addresses are 8-digit lowercase hex without prefix, fields are separated
-by single spaces, lines end with "\\n", and lines starting with '#' are
-comments.  Plain, Call and Return each count as one retired instruction;
-Switch counts as zero.
+Addresses are exactly 8 lowercase hex digits without prefix, a pid is
+decimal with no sign and no leading zero, fields are separated by single
+spaces, lines end with "\\n", and lines starting with '#' are comments.
+The parser accepts only this canonical form, so every accepted record
+re-serializes to the same bytes.  Plain, Call and Return each count as
+one retired instruction; Switch counts as zero.
 
 Event objects are plain mutable-slot containers but are treated as
 immutable values everywhere in this package.
@@ -21,6 +23,7 @@ immutable values everywhere in this package.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from typing import IO, Union
 
@@ -90,71 +93,63 @@ def classify_address(addr: int) -> PrivilegeLevel:
     return PrivilegeLevel.USER
 
 
-def _parse_addr(tok: str, lineno: int) -> int:
-    try:
-        value = int(tok, 16)
-    except ValueError:
-        raise TraceParseError(lineno, f"bad address {tok!r}") from None
-    if not 0 <= value <= ADDRESS_MASK:
-        raise TraceParseError(lineno, f"address {tok!r} out of 32-bit range")
-    return value
+# The one canonical form of each record; `lastindex` of a match names the
+# record: 1 plain, 4 call, 6 return, 7 switch, 8 header.
+_RECORD = re.compile(
+    r"I ([0-9a-f]{8})"
+    r"|C ([0-9a-f]{8}) ([0-9a-f]{8}) ([0-9a-f]{8})"
+    r"|R ([0-9a-f]{8}) ([0-9a-f]{8})"
+    r"|X (0|[1-9][0-9]*)"
+    r"|P (0|[1-9][0-9]*)")
+_FORMS = {"P": "P <pid>", "I": "I <addr>", "C": "C <addr> <addr> <addr>",
+          "R": "R <addr> <addr>", "X": "X <pid>"}
 
 
-def _parse_pid(tok: str, lineno: int) -> int:
-    try:
-        value = int(tok, 10)
-    except ValueError:
-        raise TraceParseError(lineno, f"bad process id {tok!r}") from None
-    if value < 0:
-        raise TraceParseError(lineno, f"negative process id {tok!r}")
-    return value
+def _bad_record(lineno: int, line: str) -> TraceParseError:
+    tag = line.split(" ", 1)[0]
+    if tag not in _FORMS:
+        return TraceParseError(lineno, f"unknown event tag {tag!r}")
+    return TraceParseError(
+        lineno, f"bad record {line!r}: expected '{_FORMS[tag]}' (addr: 8 "
+        "lowercase hex digits; pid: decimal, no sign or leading zero)")
 
 
 def parse_trace(text: Union[str, bytes]) -> Trace:
     """Parse the text trace format; inverse of :func:`serialize_trace`."""
     if isinstance(text, bytes):
-        text = text.decode("ascii")
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise TraceParseError(text.count(b"\n", 0, exc.start) + 1,
+                                  f"non-ASCII byte {text[exc.start]:#04x}") from None
 
     initial: int | None = None
     events: list[TraceEvent] = []
-    lineno = 0
+    append = events.append
+    match = _RECORD.fullmatch
     for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        fields = line.split(" ")
-        tag = fields[0]
-        if tag == "P":
+        m = match(line)
+        if m is None:
+            raise _bad_record(lineno, line)
+        kind = m.lastindex
+        if kind == 8:
+            # Events need a header before them, so a second one is a duplicate.
             if initial is not None:
                 raise TraceParseError(lineno, "duplicate header record")
-            if events:
-                raise TraceParseError(lineno, "header record not first")
-            if len(fields) != 2:
-                raise TraceParseError(lineno, "header takes one field")
-            initial = _parse_pid(fields[1], lineno)
+            initial = int(m[8])
             continue
         if initial is None:
             raise TraceParseError(lineno, "missing 'P <pid>' header record")
-        if tag == "I":
-            if len(fields) != 2:
-                raise TraceParseError(lineno, "'I' takes one field")
-            events.append(Plain(_parse_addr(fields[1], lineno)))
-        elif tag == "C":
-            if len(fields) != 4:
-                raise TraceParseError(lineno, "'C' takes three fields")
-            events.append(Call(_parse_addr(fields[1], lineno),
-                               _parse_addr(fields[2], lineno),
-                               _parse_addr(fields[3], lineno)))
-        elif tag == "R":
-            if len(fields) != 3:
-                raise TraceParseError(lineno, "'R' takes two fields")
-            events.append(Return(_parse_addr(fields[1], lineno),
-                                 _parse_addr(fields[2], lineno)))
-        elif tag == "X":
-            if len(fields) != 2:
-                raise TraceParseError(lineno, "'X' takes one field")
-            events.append(Switch(_parse_pid(fields[1], lineno)))
+        if kind == 1:
+            append(Plain(int(m[1], 16)))
+        elif kind == 4:
+            append(Call(int(m[2], 16), int(m[3], 16), int(m[4], 16)))
+        elif kind == 6:
+            append(Return(int(m[5], 16), int(m[6], 16)))
         else:
-            raise TraceParseError(lineno, f"unknown event tag {tag!r}")
+            append(Switch(int(m[7])))
     if initial is None:
         raise TraceParseError(1, "missing 'P <pid>' header record")
     return Trace(initial, events)
@@ -181,7 +176,7 @@ def serialize_trace(trace: Trace) -> str:
 
 
 def load_trace(path) -> Trace:
-    with open(path, "r", encoding="ascii", newline="") as fh:
+    with open(path, "rb") as fh:
         return parse_trace(fh.read())
 
 

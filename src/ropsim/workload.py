@@ -28,9 +28,10 @@ safely to larger intervals.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
 
-from .ras import DEFAULT_CAPACITY, ReturnAddressStack
+from .detector import DEFAULT_CAPACITY
 from .trace import (KERNEL_BASE, Call, Plain, PrivilegeLevel, Return, Switch,
                     Trace, TraceEvent)
 
@@ -54,7 +55,7 @@ class GenerationError(ValueError):
 @dataclass
 class BenignSpec:
     total_instructions: int = 100_000
-    ras_capacity: int = 16
+    ras_capacity: int = DEFAULT_CAPACITY
     max_benign_mispredict_chain: int = 10
     mispredict_burst_count: int = 8
     gap_profile: str = "mixed"
@@ -82,16 +83,21 @@ class InterleaveSpec:
 def replay_mispredictions(trace: Trace, ras_capacity: int,
                           flush_ras_on_switch: bool = False) -> list[bool]:
     """Outcome (True = mispredicted) of each Return event, in trace order."""
-    ras = ReturnAddressStack(ras_capacity)
+    if ras_capacity < 1:
+        # deque(maxlen=0) would silently mispredict every return.
+        raise ValueError("ras_capacity must be >= 1")
+    ras: deque[int] = deque(maxlen=ras_capacity)
+    push = ras.append
+    pop = ras.pop
     out: list[bool] = []
     for ev in trace.events:
         cls = ev.__class__
         if cls is Call:
-            ras.on_call(ev.return_addr)
+            push(ev.return_addr)
         elif cls is Return:
-            out.append(ras.on_return(ev.actual_target))
+            out.append(not ras or pop() != ev.actual_target)
         elif cls is Switch and flush_ras_on_switch:
-            ras.flush()
+            ras.clear()
     return out
 
 
@@ -204,6 +210,8 @@ def gen_benign(spec: BenignSpec) -> Trace:
         raise GenerationError("total_instructions must be positive")
     if spec.ras_capacity < 1:
         raise GenerationError("ras_capacity must be >= 1")
+    if spec.mispredict_burst_count < 0:
+        raise GenerationError("mispredict_burst_count must be >= 0")
     if spec.mispredict_burst_count and spec.max_benign_mispredict_chain < 1:
         raise GenerationError("bursts requested but the mispredict chain cap is 0")
 
@@ -269,6 +277,8 @@ def gen_rop(spec: RopSpec) -> Trace:
     g = spec.chain_length
     if g < 1:
         raise GenerationError("chain_length must be >= 1")
+    if spec.prologue < 0 or spec.alignment_offset < 0:
+        raise GenerationError("prologue and alignment_offset must be >= 0")
     rng = random.Random(spec.seed)
     if spec.gadget_sizes is None:
         sizes = [rng.randint(2, 6) for _ in range(g)]

@@ -1,13 +1,13 @@
 """Brute-force reference detector used to cross-check the real one.
 
 Deliberately shares no machinery with the package: mispredictions are
-labeled with a deque-based bounded LIFO instead of the circular-buffer
-model, and each process's misprediction stream is partitioned into
-consecutive groups of t_m by direct counting — no counter bank, no
-overflow thresholds, no lookup table.  Partial groups carry across
-context switches exactly as the table-based detector is supposed to
-carry them (or are discarded at switches when emulating the disabled
-table).
+labeled by the oracle's own deque-based bounded LIFO, separate from the
+detector's replay loop, and each process's misprediction stream is
+partitioned into consecutive groups of t_m by direct counting — no
+counter bank, no overflow thresholds, no lookup table.  Partial groups
+carry across context switches exactly as the table-based detector is
+supposed to carry them (or are discarded at switches when emulating the
+disabled table).
 """
 
 from collections import deque

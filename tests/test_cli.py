@@ -64,6 +64,14 @@ class TestGenerate:
         code, _, err = run_cli(["gen-rop", "--gadget-sizes", "2,x"], capsys)
         assert code == 1
 
+    def test_negative_counts_rejected(self, capsys):
+        for argv in (["gen-rop", "--offset", "-3"],
+                     ["gen-rop", "--prologue", "-1"],
+                     ["gen-normal", "--events", "1000", "--bursts", "-1"]):
+            code, _, err = run_cli(argv, capsys)
+            assert code == 1, argv
+            assert err.startswith("ropsim: error:"), argv
+
 
 class TestDetect:
     def test_missing_file(self, capsys):
@@ -91,6 +99,21 @@ class TestDetect:
             code, _, err = run_cli(argv, capsys)
             assert code == 1, argv
             assert f"ropsim {argv[0]}: error:" in err, argv
+
+    def test_non_ascii_byte_reports_its_line(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        bad = corpus / "benign_0.trace"
+        bad.write_bytes(b"P 1\nI 00000004\nI 0000000\xc3\xa9\n")
+        spec = tmp_path / "weave.json"
+        spec.write_text(json.dumps({"parts": {"1": str(bad)},
+                                    "schedule": [[1, 2]]}))
+        for argv in (["detect", str(bad)], ["scatter", str(corpus)],
+                     ["interleave", str(spec)]):
+            code, _, err = run_cli(argv, capsys)
+            assert code == 1, argv
+            assert err.startswith("ropsim: error:"), argv
+            assert "line 3" in err, argv
 
     def test_parser_defaults(self):
         # bench/workloads.py passes these defaults to cmd_detect in a
@@ -277,7 +300,8 @@ class TestSweepCommand:
     def test_bad_capacity_and_gadget_range_rejected(self, tmp_path, capsys):
         spec_path = tmp_path / "sweep.json"
         for spec in ({"ras_capacity": 0},
-                     {"gadget_size_lo": 5, "gadget_size_hi": 3}):
+                     {"gadget_size_lo": 5, "gadget_size_hi": 3},
+                     {"rop_reps": -1}, {"gadget_size_lo": 0}):
             spec_path.write_text(json.dumps(spec))
             code, _, err = run_cli(["sweep", str(spec_path),
                                     "--out", str(tmp_path / "o")], capsys)

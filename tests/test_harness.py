@@ -3,8 +3,8 @@ import io
 import pytest
 
 from ropsim.detector import DetectorConfig, run
-from ropsim.harness import (ROW_FIELDS, SUMMARY_FIELDS, ScatterPoint,
-                            SweepSpec, SweepSpecError, derive_seed, run_sweep,
+from ropsim.harness import (ROW_FIELDS, SUMMARY_FIELDS, SweepSpec,
+                            SweepSpecError, derive_seed, run_sweep,
                             scatter_point, summarize_rows, write_csv)
 from ropsim.workload import BenignSpec, RopSpec, gen_benign, gen_rop
 
@@ -19,22 +19,21 @@ class TestScatterPoint:
     def test_no_overflow_interval_yields_absent_coordinates(self):
         trace = gen_benign(BenignSpec(total_instructions=2000,
                                       mispredict_burst_count=0, seed=1))
-        point = scatter_point("t", "benign", run(trace))
-        assert point.min_n_r is None and point.paired_n_i is None
+        assert scatter_point(run(trace)) == (None, None)
 
     def test_detected_payload_sits_in_the_detection_region(self):
         trace = gen_rop(RopSpec(chain_length=12, prologue=100, seed=3))
-        point = scatter_point("t", "rop", run(trace))
-        assert point.min_n_r == 6
-        assert point.paired_n_i <= 36
+        min_n_r, paired_n_i = scatter_point(run(trace))
+        assert min_n_r == 6
+        assert paired_n_i <= 36
 
     def test_benign_bursts_sit_outside_the_detection_region(self):
         trace = gen_benign(BenignSpec(total_instructions=20_000,
                                       mispredict_burst_count=5,
                                       gap_profile="mixed", seed=4))
-        point = scatter_point("t", "benign", run(trace))
-        if point.min_n_r is not None:
-            assert point.min_n_r > 6 or point.paired_n_i > 36
+        min_n_r, paired_n_i = scatter_point(run(trace))
+        if min_n_r is not None:
+            assert min_n_r > 6 or paired_n_i > 36
 
 
 class TestSweepSpec:
@@ -63,6 +62,11 @@ class TestSweepSpec:
             SweepSpec.from_mapping({"ras_capacity": 0})
         with pytest.raises(SweepSpecError):
             SweepSpec.from_mapping({"gadget_size_lo": 5, "gadget_size_hi": 3})
+        for doc in ({"rop_reps": -1}, {"benign_count": -1},
+                    {"benign_bursts": -1, "benign_count": 1},
+                    {"rop_prologue": -5}, {"gadget_size_lo": 0}):
+            with pytest.raises(SweepSpecError):
+                SweepSpec.from_mapping(doc)
 
     def test_rejects_bools_where_ints_are_expected(self):
         for doc in ({"benign_count": True}, {"rop_reps": False},

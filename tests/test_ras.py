@@ -1,70 +1,79 @@
+"""Return-address-stack semantics, observed through replay outcomes.
+
+Each test replays a hand-built trace and reads the per-return outcome
+sequence (True = mispredicted).  What a stack still holds is read as the
+outcome of one more return.
+"""
+
 import random
 
 import pytest
 
-from ropsim.ras import ReturnAddressStack
+from ropsim.trace import Call, Return, Switch, Trace
+from ropsim.workload import replay_mispredictions
+
+
+def call(return_addr: int) -> Call:
+    return Call(0, 0, return_addr)
+
+
+def ret(target: int) -> Return:
+    return Return(0, target)
+
+
+def outcomes(capacity: int, events: list, flush: bool = False) -> list[bool]:
+    return replay_mispredictions(Trace(1, events), capacity, flush)
 
 
 def test_single_push():
-    ras = ReturnAddressStack(16)
-    ras.on_call(0x1004)
-    assert ras.depth == 1
-    assert [ras.on_return(0x1004), ras.on_return(0x1004)] == [False, True]
+    assert outcomes(16, [call(0x1004), ret(0x1004), ret(0x1004)]) == [False, True]
 
 
 def test_push_then_pop_predicts_pushed_address():
-    ras = ReturnAddressStack(16)
-    ras.on_call(0x1004)
-    assert ras.on_return(0x1004) is False
-    assert ras.depth == 0
+    # The second return finds the stack empty again.
+    assert outcomes(16, [call(0x1004), ret(0x1004), ret(0x2000)]) == [False, True]
 
 
 def test_overflow_overwrites_oldest():
     # cap 2: push A, B, C -> live {C, B}, A lost; unwinding C, B predicts,
     # then A underflows.
-    ras = ReturnAddressStack(2)
-    ras.on_call(0xA0)
-    ras.on_call(0xB0)
-    ras.on_call(0xC0)
-    assert ras.depth == 2
-    assert ras.on_return(0xC0) is False
-    assert ras.on_return(0xB0) is False
-    assert ras.on_return(0xA0) is True  # underflow after overwrite
+    events = [call(0xA0), call(0xB0), call(0xC0),
+              ret(0xC0), ret(0xB0), ret(0xA0)]
+    assert outcomes(2, events) == [False, False, True]
 
 
 def test_empty_pop_mispredicts_and_leaves_stack_unchanged():
-    ras = ReturnAddressStack(4)
-    assert ras.on_return(0x2000) is True
-    assert ras.depth == 0
-    ras.on_call(0x10)
-    ras.on_return(0x999)  # wrong target still pops
-    assert ras.on_return(0x10) is True  # entry was consumed above
+    events = [ret(0x2000), ret(0x2000),  # empty: both mispredict
+              call(0x10),
+              ret(0x999),  # wrong target still pops
+              ret(0x10)]  # entry was consumed above
+    assert outcomes(4, events) == [True, True, True, True]
+    # The empty pop left nothing behind: the next call is the only entry.
+    assert outcomes(4, [ret(0x2000), call(0x10), ret(0x10), ret(0x10)]) == [
+        True, False, True]
 
 
 def test_mismatched_target_pops_entry():
-    ras = ReturnAddressStack(4)
-    ras.on_call(0x10)
-    assert ras.on_return(0x20) is True
-    assert ras.depth == 0
+    assert outcomes(4, [call(0x10), ret(0x20), ret(0x10)]) == [True, True]
 
 
 def test_matched_nesting_within_capacity_never_mispredicts():
     rng = random.Random(7)
     for _ in range(200):
         cap = rng.randint(1, 32)
-        ras = ReturnAddressStack(cap)
         stack = []
-        mispredictions = 0
+        events = []
         for _ in range(rng.randint(1, 100)):
             if stack and (len(stack) == cap or rng.random() < 0.5):
-                mispredictions += ras.on_return(stack.pop())
+                events.append(ret(stack.pop()))
             else:
                 addr = rng.randrange(0, 1 << 32)
-                ras.on_call(addr)
+                events.append(call(addr))
                 stack.append(addr)
         while stack:
-            mispredictions += ras.on_return(stack.pop())
-        assert mispredictions == 0
+            events.append(ret(stack.pop()))
+        returns = sum(1 for ev in events if ev.__class__ is Return)
+        assert outcomes(cap, events) == [False] * returns
 
 
 def test_over_recursion_mispredicts_exactly_k_times():
@@ -72,28 +81,22 @@ def test_over_recursion_mispredicts_exactly_k_times():
     for _ in range(200):
         cap = rng.randint(1, 24)
         k = rng.randint(1, 12)
-        ras = ReturnAddressStack(cap)
         addrs = [rng.randrange(0, 1 << 32) for _ in range(cap + k)]
-        for a in addrs:
-            ras.on_call(a)
-        outcomes = [ras.on_return(a) for a in reversed(addrs)]
-        assert outcomes == [False] * cap + [True] * k
+        events = [call(a) for a in addrs] + [ret(a) for a in reversed(addrs)]
+        assert outcomes(cap, events) == [False] * cap + [True] * k
 
 
 def test_bare_return_chain_mispredicts_every_time():
-    ras = ReturnAddressStack(16)
-    outcomes = [ras.on_return(0x5000 + 4 * i) for i in range(9)]
-    assert outcomes == [True] * 9
+    events = [ret(0x5000 + 4 * i) for i in range(9)]
+    assert outcomes(16, events) == [True] * 9
 
 
 def test_flush_drops_live_entries():
-    ras = ReturnAddressStack(8)
-    ras.on_call(0x44)
-    ras.flush()
-    assert ras.depth == 0
-    assert ras.on_return(0x44) is True
+    events = [call(0x44), Switch(2), ret(0x44)]
+    assert outcomes(8, events, flush=True) == [True]
+    assert outcomes(8, events, flush=False) == [False]
 
 
 def test_capacity_must_be_positive():
     with pytest.raises(ValueError):
-        ReturnAddressStack(0)
+        replay_mispredictions(Trace(1, [call(0x44), ret(0x44)]), 0)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ropsim.trace import (ADDRESS_MASK, KERNEL_BASE, Call, Plain,
                           PrivilegeLevel, Return, Switch, Trace,
@@ -9,6 +11,20 @@ from ropsim.trace import (ADDRESS_MASK, KERNEL_BASE, Call, Plain,
 from ropsim.workload import BenignSpec, gen_benign
 
 from helpers import chaos_trace
+
+# Fields near the canonical forms: canonical addresses and pids, and
+# short strings of digits, signs, prefixes, separators and a non-ASCII digit.
+_FIELD = st.one_of(
+    st.integers(0, ADDRESS_MASK).map("{:08x}".format),
+    st.integers(0, 10**6).map(str),
+    st.text(alphabet="0123456789abcdefABCDEFx_+- \r\u0661", max_size=10))
+_ARITY = {"P": 1, "I": 1, "C": 3, "R": 2, "X": 1}
+
+
+def _record(tag: str):
+    n = _ARITY[tag]
+    return st.lists(_FIELD, min_size=n, max_size=n).map(
+        lambda fields: " ".join([tag, *fields]))
 
 
 class TestClassifyAddress:
@@ -85,6 +101,23 @@ class TestParse:
     def test_accepts_bytes(self):
         assert parse_trace(b"P 1\nX 2\n").events == [Switch(2)]
 
+    @pytest.mark.parametrize("text, line", [
+        ("P 1\nI 0x00001f\n", 2), ("P 1\nI 1_f\n", 2), ("P 1\nI +ff\n", 2),
+        ("P 1\nI \u0661\u0662\n", 2),  # non-ASCII digits
+        ("P 1\nI 0000001F\n", 2), ("P 1\nR 00000004 1f\n", 2),
+        ("P 1\nI 0000001f\r\n", 2), ("P 1\r\nI 0000001f\n", 1),  # CRLF
+        ("P 007\n", 1), ("P 1\nX 01\n", 2), ("P 1\nX +2\n", 2),
+    ])
+    def test_rejects_non_canonical_records(self, text, line):
+        with pytest.raises(TraceParseError) as exc:
+            parse_trace(text)
+        assert exc.value.line == line
+
+    def test_non_ascii_byte_reports_its_line(self):
+        with pytest.raises(TraceParseError) as exc:
+            parse_trace(b"P 1\n# ok\nI 0000000\xc3\xa9\n")
+        assert exc.value.line == 3
+
 
 class TestSerialize:
     def test_empty_trace(self):
@@ -112,6 +145,18 @@ class TestRoundTrip:
         for _ in range(50):
             trace = chaos_trace(rng)
             assert parse_trace(serialize_trace(trace)) == trace
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_accepted_text_re_serializes_to_itself(self, data):
+        lines = [data.draw(_record(tag)) for tag in
+                 ["P", *data.draw(st.lists(st.sampled_from("ICRX"), max_size=5))]]
+        text = "".join(line + "\n" for line in lines)
+        try:
+            trace = parse_trace(text)
+        except TraceParseError:
+            return
+        assert serialize_trace(trace) == text
 
     def test_event_equality_is_type_aware(self):
         assert Plain(5) != Switch(5)

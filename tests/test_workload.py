@@ -63,6 +63,11 @@ class TestBenignGenerator:
             gen_benign(BenignSpec(max_benign_mispredict_chain=0,
                                   mispredict_burst_count=1))
 
+    def test_negative_burst_count_rejected(self):
+        with pytest.raises(GenerationError):
+            gen_benign(BenignSpec(total_instructions=1000,
+                                  mispredict_burst_count=-1))
+
     def test_zero_ras_capacity_rejected(self):
         for bursts in (0, 1):
             with pytest.raises(GenerationError, match="ras_capacity"):
@@ -110,6 +115,12 @@ class TestRopGenerator:
             gen_rop(RopSpec(chain_length=2, gadget_sizes=[4, 0]))
         with pytest.raises(GenerationError):
             gen_rop(RopSpec(chain_length=0))
+
+    def test_negative_prologue_and_offset_rejected(self):
+        with pytest.raises(GenerationError):
+            gen_rop(RopSpec(chain_length=4, alignment_offset=-3))
+        with pytest.raises(GenerationError):
+            gen_rop(RopSpec(chain_length=4, prologue=-1))
 
     def test_single_gadget(self):
         trace = gen_rop(RopSpec(chain_length=1, prologue=0, seed=0))

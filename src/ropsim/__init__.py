@@ -8,12 +8,11 @@ most `t_i * t_m` instructions.
 """
 
 from .detector import (DEFAULT_CAPACITY, ClosedBy, DetectionReport,
-                       DetectorConfig, IntervalRecord, RopDetected, run,
-                       signature_check)
-from .trace import (ADDRESS_MASK, KERNEL_BASE, Call, Plain, PrivilegeLevel,
+                       DetectorConfig, IntervalRecord, RopDetected, run)
+from .trace import (KERNEL_BASE, Call, ControlFlow, Plain, PrivilegeLevel,
                     Return, Switch, Trace, TraceEvent, TraceParseError,
-                    classify_address, dump_trace, load_trace, parse_trace,
-                    serialize_trace)
+                    classify_address, control_flow, load_trace, parse_trace,
+                    scan_trace, serialize_trace)
 from .workload import (BenignSpec, GenerationError, InterleaveSpec, RopSpec,
                        gen_benign, gen_rop, interleave, mispredict_runs,
                        replay_mispredictions)
@@ -21,13 +20,12 @@ from .workload import (BenignSpec, GenerationError, InterleaveSpec, RopSpec,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ADDRESS_MASK", "KERNEL_BASE", "DEFAULT_CAPACITY",
+    "KERNEL_BASE", "DEFAULT_CAPACITY",
     "PrivilegeLevel", "Plain", "Call", "Return", "Switch", "Trace",
     "TraceEvent", "TraceParseError", "classify_address", "parse_trace",
-    "serialize_trace", "load_trace", "dump_trace",
-    "DetectorConfig", "DetectionReport",
-    "RopDetected", "IntervalRecord", "ClosedBy",
-    "run", "signature_check",
+    "serialize_trace", "load_trace", "ControlFlow", "control_flow",
+    "scan_trace", "DetectorConfig", "DetectionReport",
+    "RopDetected", "IntervalRecord", "ClosedBy", "run",
     "BenignSpec", "RopSpec", "InterleaveSpec", "GenerationError",
     "gen_benign", "gen_rop", "interleave", "replay_mispredictions",
     "mispredict_runs",

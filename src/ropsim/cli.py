@@ -16,7 +16,7 @@ from pathlib import Path
 from .detector import DEFAULT_CAPACITY, DetectorConfig, run
 from .harness import (ROW_FIELDS, SUMMARY_FIELDS, SweepSpec, SweepSpecError,
                       run_sweep, scatter_point, write_csv)
-from .trace import (PrivilegeLevel, TraceParseError, load_trace,
+from .trace import (PrivilegeLevel, TraceParseError, load_trace, parse_trace,
                     serialize_trace)
 from .workload import (BenignSpec, GAP_PROFILES, GenerationError,
                        InterleaveSpec, RopSpec, gen_benign, gen_rop,
@@ -172,7 +172,7 @@ def cmd_interleave(args) -> int:
                        for item in doc["schedule"])):
         return _fail("spec 'schedule' must be a list of [pid, events] pairs")
     try:
-        parts = [(int(pid), load_trace(path))
+        parts = [(int(pid), parse_trace(Path(path).read_bytes()))
                  for pid, path in sorted(doc["parts"].items(), key=lambda kv: int(kv[0]))]
         schedule = [(int(pid), int(count)) for pid, count in doc["schedule"]]
     except (OSError, TraceParseError, TypeError, ValueError) as exc:

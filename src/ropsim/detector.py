@@ -1,4 +1,4 @@
-"""Signature-based ROP detection over an attributed instruction trace.
+"""Signature-based ROP detection over a trace's control flow.
 
 Execution is divided into tumbling monitor intervals, each delimited by
 `t_m` mispredicted returns.  The detector counts three events per
@@ -29,6 +29,11 @@ into mispredictions, and a return with no entry (a gadget return with no
 associated call) always mispredicts.  `collections.deque(maxlen=...)`
 has exactly these semantics.
 
+A plain instruction only adds one to the instruction count, so `run`
+walks a `ControlFlow`: one item per call, return or switch, carrying the
+plain run before it.  The detection semantics live in that one loop,
+whether the trace was parsed into events or scanned from its text.
+
 All options are `DetectorConfig` fields: `table_enabled=False` disables
 the table (partial intervals are discarded at every switch), a
 deliberately vulnerable mode kept as a regression baseline;
@@ -43,8 +48,8 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 
-from .trace import (Call, Plain, PrivilegeLevel, Switch, Trace,
-                    classify_address)
+from .trace import (CALL, RETURN, SWITCH, ControlFlow, PrivilegeLevel, Trace,
+                    classify_address, control_flow)
 
 SATURATE_AT = 0xFF  # one byte per stored event count
 DEFAULT_CAPACITY = 16  # return-address-stack entries
@@ -68,15 +73,6 @@ class DetectorConfig:
                 "t_i * t_m must be below 255: a one-byte table entry cannot hold it")
         if self.ras_capacity < 1:
             raise ValueError("ras_capacity must be >= 1")
-
-
-def signature_check(n_i: int, n_r: int, cfg: DetectorConfig) -> bool:
-    """ROP signature over one complete interval's counts.
-
-    Valid only when the interval really accumulated t_m mispredicted
-    returns; the caller guarantees that.
-    """
-    return n_r == cfg.t_m and n_i <= cfg.t_i * cfg.t_m
 
 
 class ClosedBy(enum.Enum):
@@ -114,9 +110,6 @@ class DetectionReport:
     def clean(self) -> bool:
         return not self.verdicts
 
-    def detected_pids(self) -> set[int]:
-        return {v.pid for v in self.verdicts}
-
     def to_jsonl(self) -> str:
         """One JSON record per interval and per verdict; stable field names."""
         lines = []
@@ -144,16 +137,16 @@ class DetectionReport:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def run(trace: Trace, cfg: DetectorConfig | None = None) -> DetectionReport:
+def run(trace: Trace | ControlFlow,
+        cfg: DetectorConfig | None = None) -> DetectionReport:
     """Run one detection pass over `trace`; deterministic in its arguments."""
     cfg = cfg if cfg is not None else DetectorConfig()
+    flow = control_flow(trace) if isinstance(trace, Trace) else trace
     t_m = cfg.t_m
-    table_enabled = cfg.table_enabled
-    flush_ras_on_switch = cfg.flush_ras_on_switch
+    limit = cfg.t_i * t_m
     ras: deque[int] = deque(maxlen=cfg.ras_capacity)
     push = ras.append
     pop = ras.pop
-    plain_t, call_t, switch_t = Plain, Call, Switch
 
     table: dict[int, tuple[int, int, int]] = {}  # pid -> parked (n_i, n_r, n_m)
     stopped: set[int] = set()
@@ -169,53 +162,47 @@ def run(trace: Trace, cfg: DetectorConfig | None = None) -> DetectionReport:
 
     # Live counts of the current interval; `parked` when they were restored
     # from the table, so they close clamped as a stored entry would read.
-    cur = trace.initial_process
+    # A stopped process neither counts nor touches the predictor.
+    cur = flow.initial_process
     n_i = n_r = n_m = 0
-    parked = False
-    for ev in trace.events:
-        cls = ev.__class__
-        if cls is switch_t:
+    parked, counting = False, True
+    for plains, kind, a, b in flow.items:
+        if counting:
+            n_i += plains
+            if kind == RETURN:
+                # Counted, then predicted; a miss may close the interval.
+                n_i += 1
+                n_r += 1
+                if not ras or pop() != b:
+                    n_m += 1
+                    if n_m == t_m:
+                        if parked:
+                            n_i, n_r = min(SATURATE_AT, n_i), min(SATURATE_AT, n_r)
+                            parked = False
+                        index = emit(cur, n_i, n_r, n_m, ClosedBy.OVERFLOW)
+                        if n_r == t_m and n_i <= limit:  # the ROP signature
+                            verdicts.append(RopDetected(
+                                cur, classify_address(a), index, n_i, n_r, a))
+                            stopped.add(cur)
+                            counting = False
+                        n_i = n_r = n_m = 0
+            elif kind == CALL:
+                n_i += 1
+                push(b)
+        if kind == SWITCH:
             # A stopped process counts nothing, so live counts imply a monitored one.
             if n_i or n_r or n_m:
-                if table_enabled:
+                if cfg.table_enabled:
                     table[cur] = (min(SATURATE_AT, n_i), min(SATURATE_AT, n_r), n_m)
                 else:
                     # Vulnerable baseline: the partial interval is discarded wholesale.
                     emit(cur, n_i, n_r, n_m, ClosedBy.SWITCH)
-            if flush_ras_on_switch:
+            if cfg.flush_ras_on_switch:
                 ras.clear()
-            cur = ev.next_pid
+            cur = a
+            counting = cur not in stopped
             parked = cur in table
             n_i, n_r, n_m = table.pop(cur) if parked else (0, 0, 0)
-            continue
-        if cur in stopped:
-            continue
-        n_i += 1
-        if cls is plain_t:
-            continue
-        if cls is call_t:
-            push(ev.return_addr)
-            continue
-        # Return: counted, then predicted; a miss may close the interval.
-        n_r += 1
-        if not ras or pop() != ev.actual_target:
-            n_m += 1
-            if n_m == t_m:
-                if parked:
-                    n_i, n_r = min(SATURATE_AT, n_i), min(SATURATE_AT, n_r)
-                    parked = False
-                index = emit(cur, n_i, n_r, n_m, ClosedBy.OVERFLOW)
-                if signature_check(n_i, n_r, cfg):
-                    verdicts.append(RopDetected(
-                        pid=cur,
-                        level=classify_address(ev.pc),
-                        interval_index=index,
-                        n_i=n_i,
-                        n_r=n_r,
-                        trigger_pc=ev.pc,
-                    ))
-                    stopped.add(cur)
-                n_i = n_r = n_m = 0
 
     # The open interval is incomplete, so it is recorded but never checked.
     if parked:

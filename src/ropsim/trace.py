@@ -1,4 +1,4 @@
-"""Instruction-trace event model and its text serialization.
+"""Instruction-trace event model, its text serialization and its control flow.
 
 A trace is a header naming the initial process followed by an ordered
 stream of retired-instruction events and context-switch markers:
@@ -16,6 +16,12 @@ The parser accepts only this canonical form, so every accepted record
 re-serializes to the same bytes.  Plain, Call and Return each count as
 one retired instruction; Switch counts as zero.
 
+The detector reads a trace as its `ControlFlow`, which `control_flow`
+derives from a `Trace` and `scan_trace` builds straight from the text,
+without one object per instruction.  The scanner and `parse_trace` share
+one grammar and accept the same language; on rejected text the scanner
+re-runs `parse_trace`, so both raise the same `TraceParseError`.
+
 Event objects are plain mutable-slot containers but are treated as
 immutable values everywhere in this package.
 """
@@ -25,9 +31,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
-from typing import IO, Union
-
-ADDRESS_MASK = 0xFFFFFFFF
+from typing import Union
 
 # Split of the 32-bit virtual address space: everything at or
 # above this boundary is kernel memory.
@@ -70,8 +74,19 @@ class Trace:
     initial_process: int
     events: list[TraceEvent] = field(default_factory=list)
 
-    def instruction_count(self) -> int:
-        return sum(1 for ev in self.events if ev.__class__ is not Switch)
+
+# Control-flow item kinds; each but END is the `lastindex` of its `_CONTROL` match.
+CALL, RETURN, SWITCH, END = 3, 5, 6, 0
+
+
+@dataclass(slots=True)
+class ControlFlow:
+    """Items `(n, CALL, pc, return_addr)`, `(n, RETURN, pc, actual_target)`
+    and `(n, SWITCH, next_pid, 0)`, in trace order, each after `n` plain
+    instructions, then `(n, END, 0, 0)` for the `n` after the last of them.
+    """
+    initial_process: int
+    items: list[tuple[int, int, int, int]]
 
 
 class TraceParseError(ValueError):
@@ -88,29 +103,43 @@ def classify_address(addr: int) -> PrivilegeLevel:
     The classification is total: every 32-bit address falls on exactly
     one side of the boundary.
     """
-    if KERNEL_BASE <= addr <= ADDRESS_MASK:
+    if KERNEL_BASE <= addr <= 0xFFFFFFFF:
         return PrivilegeLevel.KERNEL
     return PrivilegeLevel.USER
 
 
-# The one canonical form of each record; `lastindex` of a match names the
-# record: 1 plain, 4 call, 6 return, 7 switch, 8 header.
-_RECORD = re.compile(
-    r"I ([0-9a-f]{8})"
-    r"|C ([0-9a-f]{8}) ([0-9a-f]{8}) ([0-9a-f]{8})"
-    r"|R ([0-9a-f]{8}) ([0-9a-f]{8})"
-    r"|X (0|[1-9][0-9]*)"
-    r"|P (0|[1-9][0-9]*)")
-_FORMS = {"P": "P <pid>", "I": "I <addr>", "C": "C <addr> <addr> <addr>",
-          "R": "R <addr> <addr>", "X": "X <pid>"}
+_ADDR = "[0-9a-f]{8}"
+_PID = "0|[1-9][0-9]*+"
+_FIELDS = {"I": (_ADDR,), "C": (_ADDR,) * 3, "R": (_ADDR,) * 2,
+           "X": (_PID,), "P": (_PID,)}
+
+
+def _records(tags: str, capture: bool) -> str:
+    """Alternation of the canonical forms of `tags`, fields captured or not."""
+    group = "({})" if capture else "(?:{})"
+    return "|".join(" ".join([tag, *map(group.format, _FIELDS[tag])])
+                    for tag in tags)
+
+
+# One record per line; `lastindex` of a match names the record:
+# 1 plain, 4 call, 6 return, 7 switch, 8 header.
+_RECORD = re.compile(_records("ICRXP", True))
+# A whole file: comment or blank lines, the header, then any other lines.
+# Possessive loops keep no backtracking state, so memory stays flat.
+_COMMENT = r"#[\x00-\x09\x0b-\x7f]*+"
+_FILE = re.compile((rf"(?:(?:{_COMMENT})?\n)*+{_records('P', True)}"
+                    rf"(?:\n(?:{_records('ICRX', False)}|{_COMMENT})?)*+").encode())
+# A call, return or switch line of text that `_FILE` accepted.
+_CONTROL = re.compile(f"\n(?:{_records('CRX', True)})".encode())
 
 
 def _bad_record(lineno: int, line: str) -> TraceParseError:
     tag = line.split(" ", 1)[0]
-    if tag not in _FORMS:
+    if tag not in _FIELDS:
         return TraceParseError(lineno, f"unknown event tag {tag!r}")
+    form = " ".join([tag, *("<pid>" if f is _PID else "<addr>" for f in _FIELDS[tag])])
     return TraceParseError(
-        lineno, f"bad record {line!r}: expected '{_FORMS[tag]}' (addr: 8 "
+        lineno, f"bad record {line!r}: expected '{form}' (addr: 8 "
         "lowercase hex digits; pid: decimal, no sign or leading zero)")
 
 
@@ -175,15 +204,57 @@ def serialize_trace(trace: Trace) -> str:
     return "\n".join(out)
 
 
-def load_trace(path) -> Trace:
+def control_flow(trace: Trace) -> ControlFlow:
+    """The `ControlFlow` of a parsed trace."""
+    items = []
+    append = items.append
+    plains = 0
+    for ev in trace.events:
+        cls = ev.__class__
+        if cls is Plain:
+            plains += 1
+            continue
+        if cls is Call:
+            append((plains, CALL, ev.pc, ev.return_addr))
+        elif cls is Return:
+            append((plains, RETURN, ev.pc, ev.actual_target))
+        else:
+            append((plains, SWITCH, ev.next_pid, 0))
+        plains = 0
+    append((plains, END, 0, 0))
+    return ControlFlow(trace.initial_process, items)
+
+
+def scan_trace(data: bytes) -> ControlFlow:
+    """`control_flow(parse_trace(data))`, raising the same errors.
+
+    One match validates the whole text, a second visits only the call,
+    return and switch lines, and the plain lines between are counted.
+    """
+    header = _FILE.fullmatch(data)
+    if header is None:
+        parse_trace(data)
+        raise AssertionError("scan_trace rejected a trace that parse_trace accepts")
+    items = []
+    append = items.append
+    count = data.count
+    pos = header.end(1)
+    for m in _CONTROL.finditer(data, pos):
+        plains = count(b"\nI ", pos, m.start())
+        kind = m.lastindex
+        if kind == CALL:
+            append((plains, CALL, int(m[1], 16), int(m[3], 16)))
+        elif kind == RETURN:
+            append((plains, RETURN, int(m[4], 16), int(m[5], 16)))
+        else:
+            append((plains, SWITCH, int(m[6]), 0))
+        pos = m.end()
+    append((count(b"\nI ", pos), END, 0, 0))
+    return ControlFlow(int(header[1]), items)
+
+
+def load_trace(path) -> ControlFlow:
+    """The control flow of a trace file; see :func:`scan_trace`."""
     with open(path, "rb") as fh:
-        return parse_trace(fh.read())
-
-
-def dump_trace(trace: Trace, file: Union[str, IO[str]]) -> None:
-    if hasattr(file, "write"):
-        file.write(serialize_trace(trace))
-    else:
-        with open(file, "w", encoding="ascii", newline="") as fh:
-            fh.write(serialize_trace(trace))
+        return scan_trace(fh.read())
 

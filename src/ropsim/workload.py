@@ -30,6 +30,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from .detector import DEFAULT_CAPACITY
 from .trace import (KERNEL_BASE, Call, Plain, PrivilegeLevel, Return, Switch,
@@ -103,17 +104,7 @@ def replay_mispredictions(trace: Trace, ras_capacity: int,
 
 def mispredict_runs(flags: list[bool]) -> list[int]:
     """Lengths of maximal runs of consecutive mispredicted returns."""
-    runs = []
-    current = 0
-    for f in flags:
-        if f:
-            current += 1
-        elif current:
-            runs.append(current)
-            current = 0
-    if current:
-        runs.append(current)
-    return runs
+    return [len(list(group)) for missed, group in groupby(flags) if missed]
 
 
 # -- event emission -----------------------------------------------------------
@@ -329,6 +320,8 @@ def interleave(spec: InterleaveSpec) -> Trace:
     """Merge per-process segments under an explicit quantum schedule."""
     parts: dict[int, list[TraceEvent]] = {}
     for pid, segment in spec.parts:
+        if pid < 0:
+            raise GenerationError(f"process id {pid} is negative")
         if pid in parts:
             raise GenerationError(f"duplicate part for pid {pid}")
         if any(ev.__class__ is Switch for ev in segment.events):

@@ -4,8 +4,12 @@ import json
 import pytest
 
 from ropsim.cli import build_parser, main
-from ropsim.trace import Plain, Trace, dump_trace, load_trace
+from ropsim.trace import Plain, Trace, parse_trace, serialize_trace
 from ropsim.workload import BenignSpec, RopSpec, gen_benign, gen_rop
+
+
+def write_trace(trace, path):
+    path.write_text(serialize_trace(trace), encoding="ascii")
 
 
 def run_cli(argv, capsys):
@@ -129,7 +133,7 @@ class TestDetect:
         for seed in range(40):
             trace, rop_pid = split_attack_trace(seed)
             path = tmp_path / "split.trace"
-            dump_trace(trace, path)
+            write_trace(trace, path)
             code_on, _, _ = run_cli(["detect", str(path)], capsys)
             code_off, _, _ = run_cli(["detect", str(path), "--no-table"], capsys)
             if code_on == 2 and code_off == 0:
@@ -138,7 +142,7 @@ class TestDetect:
 
     def test_tm_flag(self, tmp_path, capsys):
         trace = tmp_path / "rop.trace"
-        dump_trace(gen_rop(RopSpec(chain_length=12, prologue=100, seed=1)), trace)
+        write_trace(gen_rop(RopSpec(chain_length=12, prologue=100, seed=1)), trace)
         code, _, _ = run_cli(["detect", str(trace), "--tm", "10"], capsys)
         assert code == 0  # 12 < 2*10: may legitimately escape at offset 0
         code, _, _ = run_cli(["detect", str(trace), "--tm", "6"], capsys)
@@ -151,8 +155,8 @@ class TestInterleaveCommand:
                                   mispredict_burst_count=0, seed=1))
         b = gen_benign(BenignSpec(total_instructions=200,
                                   mispredict_burst_count=0, seed=2))
-        dump_trace(a, tmp_path / "a.trace")
-        dump_trace(b, tmp_path / "b.trace")
+        write_trace(a, tmp_path / "a.trace")
+        write_trace(b, tmp_path / "b.trace")
         spec = {"parts": {"1": str(tmp_path / "a.trace"),
                           "2": str(tmp_path / "b.trace")},
                 "schedule": [[1, 150], [2, 200], [1, 150]]}
@@ -162,7 +166,7 @@ class TestInterleaveCommand:
         code, _, err = run_cli(["interleave", str(spec_path),
                                 "--out", str(out_path)], capsys)
         assert code == 0, err
-        woven = load_trace(out_path)
+        woven = parse_trace(out_path.read_bytes())
         assert woven.initial_process == 1
         assert sum(1 for line in out_path.read_text().splitlines()
                    if line.startswith("X ")) == 2
@@ -170,7 +174,7 @@ class TestInterleaveCommand:
     def test_interleave_schedule_mismatch(self, tmp_path, capsys):
         a = gen_benign(BenignSpec(total_instructions=100,
                                   mispredict_burst_count=0, seed=1))
-        dump_trace(a, tmp_path / "a.trace")
+        write_trace(a, tmp_path / "a.trace")
         spec = {"parts": {"1": str(tmp_path / "a.trace")},
                 "schedule": [[1, 99]]}
         spec_path = tmp_path / "weave.json"
@@ -178,6 +182,18 @@ class TestInterleaveCommand:
         code, _, err = run_cli(["interleave", str(spec_path)], capsys)
         assert code == 1
         assert "consume" in err
+
+    def test_negative_pid_rejected(self, tmp_path, capsys):
+        # `P -1` would be written, and detect rejects it.
+        write_trace(Trace(1, [Plain(4 * i) for i in range(10)]),
+                    tmp_path / "a.trace")
+        spec_path = tmp_path / "weave.json"
+        spec_path.write_text(json.dumps({"parts": {"-1": str(tmp_path / "a.trace")},
+                                         "schedule": [[-1, 10]]}))
+        code, out, err = run_cli(["interleave", str(spec_path)], capsys)
+        assert code == 1
+        assert err.startswith("ropsim: error:")
+        assert out == ""
 
     def test_parts_must_map_pids_to_paths(self, tmp_path, capsys):
         spec_path = tmp_path / "weave.json"
@@ -193,8 +209,8 @@ class TestInterleaveCommand:
     def test_schedule_must_be_pid_count_pairs(self, tmp_path, capsys):
         # Each bad schedule reads as [(1, 9)] when its strings are unpacked
         # character by character, and the part has exactly 9 events.
-        dump_trace(Trace(1, [Plain(4 * i) for i in range(9)]),
-                   tmp_path / "a.trace")
+        write_trace(Trace(1, [Plain(4 * i) for i in range(9)]),
+                    tmp_path / "a.trace")
         spec_path = tmp_path / "weave.json"
         for schedule in (["19"], {"19": 1}):
             spec = {"parts": {"1": str(tmp_path / "a.trace")},
@@ -210,14 +226,14 @@ class TestScatter:
         d = tmp_path / "corpus"
         d.mkdir()
         for i in range(3):
-            dump_trace(gen_benign(BenignSpec(total_instructions=8000,
-                                             mispredict_burst_count=3,
-                                             gap_profile="mixed", seed=i)),
-                       d / f"benign_{i}.trace")
+            write_trace(gen_benign(BenignSpec(total_instructions=8000,
+                                              mispredict_burst_count=3,
+                                              gap_profile="mixed", seed=i)),
+                        d / f"benign_{i}.trace")
         for i in range(2):
-            dump_trace(gen_rop(RopSpec(chain_length=12 + i, prologue=80,
-                                       alignment_offset=i, seed=i)),
-                       d / f"rop_{i}.trace")
+            write_trace(gen_rop(RopSpec(chain_length=12 + i, prologue=80,
+                                        alignment_offset=i, seed=i)),
+                        d / f"rop_{i}.trace")
         return d
 
     def test_scatter_rows(self, tmp_path, capsys):
@@ -251,9 +267,9 @@ class TestScatter:
     def test_unlabeled_file_rejected(self, tmp_path, capsys):
         d = tmp_path / "corpus"
         d.mkdir()
-        dump_trace(gen_benign(BenignSpec(total_instructions=100,
-                                         mispredict_burst_count=0, seed=0)),
-                   d / "mystery.trace")
+        write_trace(gen_benign(BenignSpec(total_instructions=100,
+                                          mispredict_burst_count=0, seed=0)),
+                    d / "mystery.trace")
         code, _, err = run_cli(["scatter", str(d)], capsys)
         assert code == 1
         assert "label" in err

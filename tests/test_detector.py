@@ -5,10 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ropsim.detector import (ClosedBy, DetectorConfig, RopDetected, run,
-                             signature_check)
+from ropsim.detector import ClosedBy, DetectorConfig, RopDetected, run
 from ropsim.trace import (Call, Plain, PrivilegeLevel, Return, Switch, Trace,
-                          parse_trace, serialize_trace)
+                          parse_trace, scan_trace, serialize_trace)
 from ropsim.workload import (BenignSpec, InterleaveSpec, RopSpec, gen_benign,
                              gen_rop, interleave)
 
@@ -32,18 +31,31 @@ def _long_park_trace(plains, before, gap, after):
     return Trace(1, events)
 
 
+def _signature(n_i, n_r):
+    """Whether one interval of n_i instructions, n_r returns and 6 misses is flagged."""
+    pairs = n_r - 6  # matched call/return pairs: their returns are predicted
+    events = [Plain(4 * i) for i in range(n_i - 2 * pairs - 6)]
+    for i in range(pairs):
+        events += [Call(0x8000 + 8 * i, 0x20000, 0x8004 + 8 * i),
+                   Return(0x20000, 0x8004 + 8 * i)]
+    events += [Return(0x1000 + 4 * i, 0x9000 + 4 * i) for i in range(6)]
+    report = run(Trace(1, events))
+    assert [(r.n_i, r.n_r, r.n_m) for r in report.intervals] == [(n_i, n_r, 6)]
+    return not report.clean
+
+
 class TestSignatureCheck:
     def test_six_gadgets_of_four_instructions(self):
-        assert signature_check(24, 6, DetectorConfig()) is True
+        assert _signature(24, 6) is True
 
     def test_instruction_budget_exceeded(self):
-        assert signature_check(37, 6, DetectorConfig()) is False
+        assert _signature(37, 6) is False
 
     def test_extra_predicted_return(self):
-        assert signature_check(30, 7, DetectorConfig()) is False
+        assert _signature(30, 7) is False
 
     def test_boundary_is_inclusive(self):
-        assert signature_check(36, 6, DetectorConfig()) is True
+        assert _signature(36, 6) is True
 
 
 class TestBasicVerdicts:
@@ -242,7 +254,7 @@ class TestSplitChain:
                       (1, 500), (7, n - cut2), (1, b - 2500)])
         trace = interleave(spec)
         with_table = run(trace)
-        assert with_table.detected_pids() == {7}
+        assert {v.pid for v in with_table.verdicts} == {7}
         without_table = run(trace, DetectorConfig(table_enabled=False))
         assert without_table.clean
 
@@ -366,10 +378,14 @@ def configs(draw):
 def _assert_agrees(trace, t_m, t_i, capacity, flush, table):
     cfg = DetectorConfig(t_m=t_m, t_i=t_i, table_enabled=table,
                          ras_capacity=capacity, flush_ras_on_switch=flush)
-    got = detector_verdict_tuples(run(trace, cfg))
+    report = run(trace, cfg)
+    got = detector_verdict_tuples(report)
     want = reference_verdicts(trace, t_m, t_i, capacity, table_enabled=table,
                               flush_ras_on_switch=flush)
     assert got == want
+    # The scanned text gives the same records as the parsed events.
+    scanned = scan_trace(serialize_trace(trace).encode("ascii"))
+    assert run(scanned, cfg).to_jsonl() == report.to_jsonl()
 
 
 class TestOracleAgreement:

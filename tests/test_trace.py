@@ -1,22 +1,25 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ropsim.trace import (ADDRESS_MASK, KERNEL_BASE, Call, Plain,
-                          PrivilegeLevel, Return, Switch, Trace,
-                          TraceParseError, classify_address, parse_trace,
+from ropsim.detector import DetectorConfig, run
+from ropsim.trace import (CALL, END, KERNEL_BASE, RETURN, SWITCH, Call,
+                          ControlFlow, Plain, PrivilegeLevel, Return, Switch,
+                          Trace, TraceParseError, classify_address,
+                          control_flow, parse_trace, scan_trace,
                           serialize_trace)
 from ropsim.workload import BenignSpec, gen_benign
 
 from helpers import chaos_trace
 
+_ADDR = st.integers(0, 0xFFFFFFFF).map("{:08x}".format)
+_PID = st.integers(0, 10**6).map(str)
 # Fields near the canonical forms: canonical addresses and pids, and
 # short strings of digits, signs, prefixes, separators and a non-ASCII digit.
 _FIELD = st.one_of(
-    st.integers(0, ADDRESS_MASK).map("{:08x}".format),
-    st.integers(0, 10**6).map(str),
+    _ADDR, _PID,
     st.text(alphabet="0123456789abcdefABCDEFx_+- \r\u0661", max_size=10))
 _ARITY = {"P": 1, "I": 1, "C": 3, "R": 2, "X": 1}
 
@@ -25,6 +28,47 @@ def _record(tag: str):
     n = _ARITY[tag]
     return st.lists(_FIELD, min_size=n, max_size=n).map(
         lambda fields: " ".join([tag, *fields]))
+
+
+_CANONICAL = st.one_of(
+    _ADDR.map("I {}".format),
+    st.tuples(_ADDR, _ADDR, _ADDR).map(lambda f: "C {} {} {}".format(*f)),
+    st.tuples(_ADDR, _ADDR).map(lambda f: "R {} {}".format(*f)),
+    _PID.map("X {}".format))
+# Lines that are valid only in some places, or never.
+_ODD = st.one_of(st.sampled_from(["", "#", "# note", "#\r", "P 2", "I 0000001f\r"]),
+                 st.sampled_from("PICRX").flatmap(_record))
+
+
+@st.composite
+def _trace_texts(draw):
+    """Texts near the trace grammar: mostly canonical, sometimes broken."""
+    lines = draw(st.lists(st.sampled_from(["", "# before"] * 3 + ["I 00000000"]),
+                          max_size=2))
+    header = _PID.map("P {}".format)
+    lines += draw(st.one_of(header, header, header, _record("P"), st.just(None))
+                  .map(lambda p: [] if p is None else [p]))
+    lines += draw(st.lists(st.one_of(*[_CANONICAL] * 5, _ODD), max_size=6))
+    newline = draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
+    text = (newline.join(lines) + draw(st.sampled_from([newline, ""]))).encode()
+    if draw(st.sampled_from([False] * 9 + [True])):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from([b"\x80", b"\xc3\xa9", b"\xff"])) + text[at:]
+    return text
+
+
+def _scanned(data: bytes):
+    try:
+        return scan_trace(data)
+    except TraceParseError as exc:
+        return exc.line, str(exc)
+
+
+def _parsed(data: bytes):
+    try:
+        return control_flow(parse_trace(data))
+    except TraceParseError as exc:
+        return exc.line, str(exc)
 
 
 class TestClassifyAddress:
@@ -43,7 +87,7 @@ class TestClassifyAddress:
     def test_partition_is_total_and_exact(self):
         rng = random.Random(0)
         for _ in range(2000):
-            addr = rng.randint(0, ADDRESS_MASK)
+            addr = rng.randint(0, 0xFFFFFFFF)
             level = classify_address(addr)
             assert level is (PrivilegeLevel.KERNEL if addr >= KERNEL_BASE
                              else PrivilegeLevel.USER)
@@ -131,6 +175,36 @@ class TestSerialize:
         assert out == "P 1\nI c0000000\nR 00000004 000000ab\n"
 
 
+class TestControlFlow:
+    def test_items_carry_the_plain_runs(self):
+        trace = Trace(4, [Plain(0), Plain(4), Call(8, 0x100, 0xc), Plain(0x100),
+                          Return(0x104, 0xc), Switch(5), Switch(4), Plain(0x10)])
+        assert control_flow(trace) == ControlFlow(4, [
+            (2, CALL, 8, 0xc), (1, RETURN, 0x104, 0xc), (0, SWITCH, 5, 0),
+            (0, SWITCH, 4, 0), (1, END, 0, 0)])
+
+    def test_scan_reads_the_same_items(self):
+        text = b"# c\nP 4\nI 00000000\nI 00000004\nC 00000008 00000100 0000000c\n" \
+            b"\n# mid\nI 00000100\nR 00000104 0000000c\nX 5\nX 4\nI 00000010"
+        assert scan_trace(text) == control_flow(parse_trace(text))
+        assert scan_trace(b"P 0") == ControlFlow(0, [(0, END, 0, 0)])
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(text=_trace_texts())
+    @example(text=b"# first\nP 1\nI 00000000\n")       # comment before the header
+    @example(text=b"P 1\n\nI 00000000\n\n")             # blank lines
+    @example(text=b"P 1\nI 00000000")                    # no trailing newline
+    @example(text=b"I 00000000\nP 1\n")                  # event before the header
+    @example(text=b"P 1\nI 00000000\nP 2\n")             # duplicate header
+    @example(text=b"# only\n#\n")                        # only comments
+    @example(text=b"")                                    # empty file
+    @example(text=b"P 1\r\nI 00000000\r\n")              # CRLF
+    @example(text=b"P 1\n# caf\xc3\xa9\nI 00000000\n")   # non-ASCII byte
+    def test_scanner_and_parser_accept_the_same_language(self, text):
+        # Same items on accepted text; the same line and message on rejected text.
+        assert _scanned(text) == _parsed(text)
+
+
 class TestRoundTrip:
     def test_generated_10k_trace_byte_identical(self):
         trace = gen_benign(BenignSpec(total_instructions=10_000,
@@ -139,6 +213,7 @@ class TestRoundTrip:
         again = parse_trace(text)
         assert again == trace
         assert serialize_trace(again) == text
+        assert scan_trace(text.encode("ascii")) == control_flow(trace)
 
     def test_chaos_traces_round_trip(self):
         rng = random.Random(99)
@@ -164,5 +239,8 @@ class TestRoundTrip:
 
 
 def test_instruction_count_excludes_switches():
+    # Without the table each pid's counts are recorded at the switch and
+    # at the end: together they count every event but the switch.
     t = Trace(1, [Plain(0), Switch(2), Call(0, 4, 4), Return(8, 4)])
-    assert t.instruction_count() == 3
+    report = run(t, DetectorConfig(table_enabled=False))
+    assert sum(r.n_i for r in report.intervals) == 3

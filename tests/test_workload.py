@@ -1,13 +1,21 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ropsim.detector import run
-from ropsim.trace import (KERNEL_BASE, Plain, PrivilegeLevel, Return, Switch,
-                          Trace, serialize_trace)
+from ropsim.trace import (KERNEL_BASE, Call, Plain, PrivilegeLevel, Return,
+                          Switch, Trace, parse_trace, serialize_trace)
 from ropsim.workload import (BenignSpec, GenerationError, InterleaveSpec,
                              RopSpec, gen_benign, gen_rop, interleave,
                              mispredict_runs, replay_mispredictions)
+
+
+def instruction_count(trace):
+    """Retired instructions: the serialized plain, call and return records."""
+    text = serialize_trace(trace)
+    return sum(text.count(f"\n{tag} ") for tag in "ICR")
 
 
 class TestBenignGenerator:
@@ -35,7 +43,7 @@ class TestBenignGenerator:
         for events in (3000, 5000, 12_345):
             trace = gen_benign(BenignSpec(total_instructions=events,
                                           mispredict_burst_count=2, seed=3))
-            assert trace.instruction_count() == events
+            assert instruction_count(trace) == events
             assert len(trace.events) == events  # single-process: no switches
 
     @pytest.mark.parametrize("profile", ["sparse", "dense", "mixed"])
@@ -77,7 +85,7 @@ class TestBenignGenerator:
     def test_small_trace_without_bursts_is_fine(self):
         trace = gen_benign(BenignSpec(total_instructions=10,
                                       mispredict_burst_count=0, seed=0))
-        assert trace.instruction_count() == 10
+        assert instruction_count(trace) == 10
 
 
 class TestRopGenerator:
@@ -129,7 +137,7 @@ class TestRopGenerator:
     def test_prologue_length_reached(self):
         trace = gen_rop(RopSpec(chain_length=4, prologue=500, seed=2))
         # Prologue plus 4 small gadgets plus any alignment padding.
-        assert trace.instruction_count() >= 500 + 4
+        assert instruction_count(trace) >= 500 + 4
 
 
 class TestInterleave:
@@ -200,3 +208,23 @@ class TestInterleave:
         switchy = Trace(1, [Plain(0), Switch(2)])
         with pytest.raises(GenerationError):  # nested switch
             interleave(InterleaveSpec(parts=[(1, switchy)], schedule=[(1, 2)]))
+        with pytest.raises(GenerationError):  # negative pid
+            interleave(InterleaveSpec(parts=[(-1, a)], schedule=[(-1, 100)]))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(pids=st.lists(st.integers(-3, 3) | st.integers(0, 10**6), min_size=1,
+                         max_size=3, unique=True),
+           data=st.data())
+    def test_accepted_interleavings_round_trip(self, pids, data):
+        # Each part is exactly as long as its quanta, so only the pids decide.
+        schedule = data.draw(st.lists(
+            st.tuples(st.sampled_from(pids), st.integers(1, 4)), max_size=6))
+        events = [Plain(0), Call(4, 0x100, 8), Return(0x100, 8), Plain(8)]
+        parts = [(pid, Trace(pid, [events[i % 4] for i in
+                                   range(sum(q for p, q in schedule if p == pid))]))
+                 for pid in pids]
+        try:
+            woven = interleave(InterleaveSpec(parts=parts, schedule=schedule))
+        except GenerationError:
+            return
+        assert parse_trace(serialize_trace(woven)) == woven

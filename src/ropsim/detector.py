@@ -13,12 +13,13 @@ discards the interval and counting starts again from zero.
 
 Context switches would let an attacker split a gadget chain across
 scheduling quanta, so the counts of a partial interval are saved per
-process in a lookup table: on switch-out they are stored (one byte each,
-clamped at 255), and on switch-in they are restored into the live
-counts, so the interval completes exactly where it would have without
-the switch.  An interval that was stored closes with the same clamp.  A
-clamped count must not pass the signature where the true count would
-fail, so configurations with `t_i * t_m >= 255` are rejected.
+process in a lookup table: on switch-out they are stored, and on
+switch-in they are restored into the live counts, so the interval
+completes exactly where it would have without the switch.  A table entry
+holds one byte per count, so an interval that was stored closes with its
+counts clamped at 255.  A clamped count must not pass the signature
+where the true count would fail, so configurations with
+`t_i * t_m >= 255` are rejected.
 
 Mispredictions come from a return-address-stack predictor, a small
 LIFO of predicted return targets.  A call pushes the address of the
@@ -30,9 +31,9 @@ associated call) always mispredicts.  `collections.deque(maxlen=...)`
 has exactly these semantics.
 
 A plain instruction only adds one to the instruction count, so `run`
-walks a `ControlFlow`: one item per call, return or switch, carrying the
-plain run before it.  The detection semantics live in that one loop,
-whether the trace was parsed into events or scanned from its text.
+takes a `ControlFlow`: one item per call, return or switch, carrying the
+plain run before it.  `run` only reads it, so a caller builds it once
+per trace (see `trace`) and runs it under any number of configurations.
 
 All options are `DetectorConfig` fields: `table_enabled=False` disables
 the table (partial intervals are discarded at every switch), a
@@ -48,8 +49,8 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 
-from .trace import (CALL, RETURN, SWITCH, ControlFlow, PrivilegeLevel, Trace,
-                    classify_address, control_flow)
+from .trace import (CALL, RETURN, SWITCH, ControlFlow, PrivilegeLevel,
+                    classify_address)
 
 SATURATE_AT = 0xFF  # one byte per stored event count
 DEFAULT_CAPACITY = 16  # return-address-stack entries
@@ -137,11 +138,9 @@ class DetectionReport:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def run(trace: Trace | ControlFlow,
-        cfg: DetectorConfig | None = None) -> DetectionReport:
-    """Run one detection pass over `trace`; deterministic in its arguments."""
+def run(flow: ControlFlow, cfg: DetectorConfig | None = None) -> DetectionReport:
+    """Run one detection pass over `flow`; deterministic in its arguments."""
     cfg = cfg if cfg is not None else DetectorConfig()
-    flow = control_flow(trace) if isinstance(trace, Trace) else trace
     t_m = cfg.t_m
     limit = cfg.t_i * t_m
     ras: deque[int] = deque(maxlen=cfg.ras_capacity)
@@ -193,7 +192,7 @@ def run(trace: Trace | ControlFlow,
             # A stopped process counts nothing, so live counts imply a monitored one.
             if n_i or n_r or n_m:
                 if cfg.table_enabled:
-                    table[cur] = (min(SATURATE_AT, n_i), min(SATURATE_AT, n_r), n_m)
+                    table[cur] = (n_i, n_r, n_m)
                 else:
                     # Vulnerable baseline: the partial interval is discarded wholesale.
                     emit(cur, n_i, n_r, n_m, ClosedBy.SWITCH)

@@ -17,7 +17,7 @@ from typing import IO
 
 from .detector import (DEFAULT_CAPACITY, SATURATE_AT, ClosedBy,
                        DetectionReport, DetectorConfig, run)
-from .trace import PrivilegeLevel, Trace
+from .trace import PrivilegeLevel, Trace, control_flow
 from .workload import BenignSpec, GAP_PROFILES, RopSpec, gen_benign, gen_rop
 
 _M64 = (1 << 64) - 1
@@ -127,11 +127,12 @@ SUMMARY_FIELDS = ["kind", "t_m", "t_i", "g", "traces", "flagged",
 
 
 def _trace_rows(spec: SweepSpec, trace: Trace, base: dict) -> list[dict]:
+    flow = control_flow(trace)  # built once, read by every cell's run
     rows = []
     for t_m in spec.t_m_values:
         for t_i in spec.t_i_values:
             cfg = DetectorConfig(t_m=t_m, t_i=t_i, ras_capacity=spec.ras_capacity)
-            report = run(trace, cfg)
+            report = run(flow, cfg)
             min_n_r, paired_n_i = scatter_point(report)
             overflow = sum(1 for r in report.intervals
                            if r.closed_by is ClosedBy.OVERFLOW)

@@ -81,8 +81,7 @@ class InterleaveSpec:
 
 # -- replay helpers -----------------------------------------------------------
 
-def replay_mispredictions(trace: Trace, ras_capacity: int,
-                          flush_ras_on_switch: bool = False) -> list[bool]:
+def replay_mispredictions(trace: Trace, ras_capacity: int) -> list[bool]:
     """Outcome (True = mispredicted) of each Return event, in trace order."""
     if ras_capacity < 1:
         # deque(maxlen=0) would silently mispredict every return.
@@ -97,8 +96,6 @@ def replay_mispredictions(trace: Trace, ras_capacity: int,
             push(ev.return_addr)
         elif cls is Return:
             out.append(not ras or pop() != ev.actual_target)
-        elif cls is Switch and flush_ras_on_switch:
-            ras.clear()
     return out
 
 

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from ropsim.detector import ClosedBy, DetectorConfig, RopDetected, run
 from ropsim.trace import (Call, Plain, PrivilegeLevel, Return, Switch, Trace,
-                          parse_trace, scan_trace, serialize_trace)
+                          control_flow, scan_trace, serialize_trace)
 from ropsim.workload import (BenignSpec, InterleaveSpec, RopSpec, gen_benign,
                              gen_rop, interleave)
 
 from helpers import chaos_trace, split_attack_trace
-from oracle import detector_verdict_tuples, reference_verdicts
+from oracle import (detector_verdict_tuples, reference_intervals, reference_jsonl,
+                    reference_verdicts)
 
 
 def rop_trace(g=12, size=4, region=PrivilegeLevel.USER, **kw):
@@ -39,7 +40,7 @@ def _signature(n_i, n_r):
         events += [Call(0x8000 + 8 * i, 0x20000, 0x8004 + 8 * i),
                    Return(0x20000, 0x8004 + 8 * i)]
     events += [Return(0x1000 + 4 * i, 0x9000 + 4 * i) for i in range(6)]
-    report = run(Trace(1, events))
+    report = run(control_flow(Trace(1, events)))
     assert [(r.n_i, r.n_r, r.n_m) for r in report.intervals] == [(n_i, n_r, 6)]
     return not report.clean
 
@@ -60,14 +61,14 @@ class TestSignatureCheck:
 
 class TestBasicVerdicts:
     def test_pure_chain_detected_in_first_interval(self):
-        report = run(rop_trace())
+        report = run(control_flow(rop_trace()))
         assert len(report.verdicts) == 1
         v = report.verdicts[0]
         assert (v.pid, v.interval_index, v.n_i, v.n_r) == (1, 1, 24, 6)
         assert v.level is PrivilegeLevel.USER
 
     def test_kernel_chain_reports_kernel_level(self):
-        report = run(rop_trace(region=PrivilegeLevel.KERNEL))
+        report = run(control_flow(rop_trace(region=PrivilegeLevel.KERNEL)))
         assert not report.clean
         v = report.verdicts[0]
         assert v.level is PrivilegeLevel.KERNEL
@@ -75,7 +76,7 @@ class TestBasicVerdicts:
 
     def test_fat_gadgets_not_detected(self):
         # 12 gadgets of 8 instructions: n_i = 48 > 36 in every interval.
-        report = run(rop_trace(size=8))
+        report = run(control_flow(rop_trace(size=8)))
         assert report.clean
         overflow = [r for r in report.intervals if r.closed_by is ClosedBy.OVERFLOW]
         # One interval per t_m mispredictions, never a second signal.
@@ -83,14 +84,14 @@ class TestBasicVerdicts:
         assert all(r.n_i == 48 for r in overflow)
 
     def test_single_gadget_cannot_fill_an_interval(self):
-        report = run(rop_trace(g=1))
+        report = run(control_flow(rop_trace(g=1)))
         assert report.clean
         assert not [r for r in report.intervals if r.closed_by is ClosedBy.OVERFLOW]
 
     def test_benign_matched_trace_closes_no_intervals(self):
         trace = gen_benign(BenignSpec(total_instructions=4000,
                                       mispredict_burst_count=0, seed=5))
-        report = run(trace)
+        report = run(control_flow(trace))
         assert report.clean
         assert not [r for r in report.intervals if r.closed_by is ClosedBy.OVERFLOW]
 
@@ -101,12 +102,12 @@ class TestBasicVerdicts:
         trace = interleave(InterleaveSpec(
             parts=[(1, a), (2, b)],
             schedule=[(1, len(a.events)), (2, len(b.events))]))
-        report = run(trace)
+        report = run(control_flow(trace))
         assert sorted(v.pid for v in report.verdicts) == [1, 2]
 
     def test_events_after_detection_are_ignored(self):
         trace = rop_trace(g=24)
-        report = run(trace)
+        report = run(control_flow(trace))
         assert len(report.verdicts) == 1
         # First full interval already matches; later chain intervals never close.
         overflow = [r for r in report.intervals if r.closed_by is ClosedBy.OVERFLOW]
@@ -117,14 +118,14 @@ class TestIntervals:
     def test_end_of_trace_interval_is_never_checked(self):
         # Five bare gadget returns: one short of an interval, clean at exit.
         trace = rop_trace(g=5)
-        report = run(trace)
+        report = run(control_flow(trace))
         assert report.clean
         assert report.intervals[-1].closed_by is ClosedBy.END_OF_TRACE
         assert report.intervals[-1].n_m == 5
 
     def test_trace_ending_exactly_at_overflow_is_checked(self):
         trace = rop_trace(g=6)
-        report = run(trace)
+        report = run(control_flow(trace))
         assert not report.clean
 
     def test_monotone_counts_in_all_records(self):
@@ -133,14 +134,14 @@ class TestIntervals:
             trace = gen_benign(BenignSpec(total_instructions=20_000,
                                           mispredict_burst_count=4,
                                           gap_profile="mixed", seed=seed))
-            for rec in run(trace).intervals:
+            for rec in run(control_flow(trace)).intervals:
                 assert rec.n_m <= rec.n_r <= rec.n_i
 
     def test_overflow_records_carry_full_interval(self):
         trace = gen_benign(BenignSpec(total_instructions=20_000,
                                       mispredict_burst_count=6,
                                       gap_profile="sparse", seed=9))
-        report = run(trace)
+        report = run(control_flow(trace))
         overflow = [r for r in report.intervals if r.closed_by is ClosedBy.OVERFLOW]
         assert overflow, "sparse bursts of 10 must close intervals at t_m=6"
         assert all(r.n_m == 6 for r in overflow)
@@ -157,7 +158,7 @@ class TestSwitchHandling:
         events += [Return(0x100, 0x5000), Return(0x104, 0x6000)]
         events += [Switch(2), Switch(1)]
         events += [Return(0x200 + 4 * i, 0xA000 + i) for i in range(4)]
-        report = run(Trace(1, events))
+        report = run(control_flow(Trace(1, events)))
         assert ([(r.pid, r.n_i, r.n_r, r.n_m) for r in report.intervals]
                 == [(1, 14, 6, 6)])
         assert report.intervals[0].closed_by is ClosedBy.OVERFLOW
@@ -169,10 +170,10 @@ class TestSwitchHandling:
         pre = [Return(0x100 + 4 * i, 0x9000 + i) for i in range(4)]
         mid = [Switch(2), Plain(0), Switch(1)]
         post = [Return(0x200 + 4 * i, 0xA000 + i) for i in range(2)]
-        one_more = run(Trace(1, pre + mid + post[:1]))
+        one_more = run(control_flow(Trace(1, pre + mid + post[:1])))
         assert not [r for r in one_more.intervals
                     if r.closed_by is ClosedBy.OVERFLOW]
-        two_more = run(Trace(1, pre + mid + post))
+        two_more = run(control_flow(Trace(1, pre + mid + post)))
         overflow = [r for r in two_more.intervals
                     if r.closed_by is ClosedBy.OVERFLOW]
         assert [(r.pid, r.n_m) for r in overflow] == [(1, 6)]
@@ -184,9 +185,9 @@ class TestSwitchHandling:
         events = [Return(0x100 + 4 * i, 0x9000 + i) for i in range(4)]
         events.append(Switch(2))
         pid2 = [Return(0x200 + 4 * i, 0xA000 + i) for i in range(6)]
-        five = run(Trace(1, events + pid2[:5]))
+        five = run(control_flow(Trace(1, events + pid2[:5])))
         assert not [r for r in five.intervals if r.closed_by is ClosedBy.OVERFLOW]
-        six = run(Trace(1, events + pid2))
+        six = run(control_flow(Trace(1, events + pid2)))
         overflow = [r for r in six.intervals if r.closed_by is ClosedBy.OVERFLOW]
         assert [(r.pid, r.n_m) for r in overflow] == [(2, 6)]
 
@@ -196,7 +197,7 @@ class TestSwitchHandling:
         pre = [Return(0x100 + 4 * i, 0x9000 + i) for i in range(4)]
         mid = [Switch(2), Plain(0), Plain(4), Switch(1)]
         post = [Return(0x200 + 4 * i, 0xA000 + i) for i in range(2)]
-        report = run(Trace(1, pre + mid + post))
+        report = run(control_flow(Trace(1, pre + mid + post)))
         completed = [r for r in report.intervals
                      if r.pid == 1 and r.closed_by is ClosedBy.OVERFLOW]
         assert len(completed) == 1
@@ -212,8 +213,8 @@ class TestSwitchHandling:
         pad = [Plain(i * 4) for i in range(40)]
         post = [Return(0x200 + 4 * i, 0xA000 + i) for i in range(2)]
         tail = [Return(0x300 + 4 * i, 0xB000 + i) for i in range(3)]
-        report = run(Trace(1, pre + pad + [Switch(2), Plain(0), Switch(1)]
-                           + post + tail))
+        mid = [Switch(2), Plain(0), Switch(1)]
+        report = run(control_flow(Trace(1, pre + pad + mid + post + tail)))
         assert report.clean
         assert ([(r.n_i, r.n_r, r.n_m, r.closed_by) for r in report.intervals
                  if r.pid == 1]
@@ -225,7 +226,7 @@ class TestSwitchHandling:
         events += [Switch(2), Plain(0), Switch(1)]
         events += [Return(0x200 + 4 * i, 0xA000 + i) for i in range(6)]
         cfg = DetectorConfig(table_enabled=False)
-        report = run(Trace(1, events), cfg)
+        report = run(control_flow(Trace(1, events)), cfg)
         discarded = [r for r in report.intervals
                      if r.closed_by is ClosedBy.SWITCH and r.pid == 1]
         assert len(discarded) == 1
@@ -253,9 +254,9 @@ class TestSplitChain:
             schedule=[(1, 1000), (7, cut1), (1, 1000), (7, cut2 - cut1),
                       (1, 500), (7, n - cut2), (1, b - 2500)])
         trace = interleave(spec)
-        with_table = run(trace)
+        with_table = run(control_flow(trace))
         assert {v.pid for v in with_table.verdicts} == {7}
-        without_table = run(trace, DetectorConfig(table_enabled=False))
+        without_table = run(control_flow(trace), DetectorConfig(table_enabled=False))
         assert without_table.clean
 
     def test_verdict_matches_reference_on_split_trace(self):
@@ -271,7 +272,7 @@ class TestSplitChain:
         trace = interleave(spec)
         for table in (True, False):
             cfg = DetectorConfig(table_enabled=table)
-            got = detector_verdict_tuples(run(trace, cfg))
+            got = detector_verdict_tuples(run(control_flow(trace), cfg))
             want = reference_verdicts(trace, 6, 6, 16, table_enabled=table)
             assert got == want
 
@@ -283,12 +284,12 @@ class TestProcessEntry:
         # overflow or the end of the trace closes it.
         first = [Plain(4 * i) for i in range(200)] + [Switch(2), Switch(1)]
         second = [Plain(0x1000 + 4 * i) for i in range(100)]
-        ended = run(Trace(1, first + second))
+        ended = run(control_flow(Trace(1, first + second)))
         assert ([(r.n_i, r.closed_by) for r in ended.intervals]
                 == [(255, ClosedBy.END_OF_TRACE)])
         misses = [Return(0x2000 + 4 * i, 0x9000 + i) for i in range(2)]
-        closed = run(Trace(1, first + second + [Switch(2), Switch(1)] + misses),
-                     DetectorConfig(t_m=2))
+        events = first + second + [Switch(2), Switch(1)] + misses
+        closed = run(control_flow(Trace(1, events)), DetectorConfig(t_m=2))
         assert ([(r.n_i, r.n_r, r.n_m, r.closed_by) for r in closed.intervals]
                 == [(255, 2, 2, ClosedBy.OVERFLOW)])
 
@@ -301,7 +302,7 @@ class TestProcessEntry:
                        Return(0x20000, 0x8004 + 8 * i)]
         events += [Return(0x1000 + 4 * i, 0x9000 + i) for i in range(4)]
         events += [Switch(2), Switch(1)]
-        rec = run(Trace(1, events)).intervals[-1]
+        rec = run(control_flow(Trace(1, events))).intervals[-1]
         # bytes() raises ValueError on a count above 255.
         assert bytes([rec.n_i, rec.n_r, rec.n_m]) == bytes([255, 17, 4])
 
@@ -330,24 +331,26 @@ class TestConfig:
         with pytest.raises(ValueError):
             DetectorConfig(t_m=50, t_i=6)
         # Limit 250 < 255: the clamped count fails as the true one does.
-        report = run(trace, DetectorConfig(t_m=50, t_i=5))
+        report = run(control_flow(trace), DetectorConfig(t_m=50, t_i=5))
         assert report.clean
         assert reference_verdicts(trace, 50, 5, 16) == []
         overflow = [r for r in report.intervals if r.closed_by is ClosedBy.OVERFLOW]
         assert [(r.n_i, r.n_r, r.n_m) for r in overflow] == [(255, 50, 50)]
+        assert reference_intervals(trace, 50, 5, 16) == [(1, 1, 255, 50, 50, "overflow")]
 
     def test_flush_ras_on_switch_breaks_cross_switch_matches(self):
         events = [Call(0x100, 0x2000, 0x104), Switch(2), Plain(0), Switch(1),
                   Return(0x2004, 0x104)]
-        kept = run(Trace(1, events))
+        flow = control_flow(Trace(1, events))
+        kept = run(flow)
         assert not any(r.n_m for r in kept.intervals)
-        flushed = run(Trace(1, events), DetectorConfig(flush_ras_on_switch=True))
+        flushed = run(flow, DetectorConfig(flush_ras_on_switch=True))
         assert any(r.n_m for r in flushed.intervals)
 
 
 class TestReportSerialization:
     def test_jsonl_records_and_fields(self):
-        report = run(rop_trace())
+        report = run(control_flow(rop_trace()))
         lines = [json.loads(line) for line in report.to_jsonl().splitlines()]
         kinds = {line["type"] for line in lines}
         assert kinds == {"interval", "verdict"}
@@ -362,8 +365,131 @@ class TestReportSerialization:
                                  "n_m", "closed_by"}
 
     def test_clean_report_serializes_empty(self):
-        report = run(Trace(1, []))
+        report = run(control_flow(Trace(1, [])))
         assert report.to_jsonl() == ""
+
+
+# -- the three hardware counters of the signature, as `run` counts them -------
+#
+# Instructions and returns are counted; the mispredicted-return count
+# closes the interval on the event that brings it to `t_m`.  Every
+# guarantee is checked through detector output: the interval records and
+# verdicts.
+
+def _overflow(report):
+    return [r for r in report.intervals if r.closed_by is ClosedBy.OVERFLOW]
+
+
+def _bare_returns(n, base=0x100, plains=0):
+    """`n` returns with no matching call, each after `plains` plain instructions."""
+    events = []
+    for i in range(n):
+        pc = base + 0x100 * i
+        events += [Plain(pc + 4 * j) for j in range(plains)]
+        events.append(Return(pc + 4 * plains, 0x9000 + 0x10 * i))
+    return events
+
+
+def _gadgets(sizes):
+    """One gadget per size: size - 1 plains, then a mispredicted return."""
+    events = []
+    for i, size in enumerate(sizes):
+        events += _bare_returns(1, base=0x10000 * (i + 1), plains=size - 1)
+    return events
+
+
+class TestCounterBank:
+    def test_overflow_fires_exactly_at_threshold(self):
+        five = run(control_flow(Trace(1, _bare_returns(5))))
+        assert not _overflow(five)
+        assert five.intervals[-1].n_m == 5
+        events = _bare_returns(6)
+        six = run(control_flow(Trace(1, events)))
+        assert [r.n_m for r in _overflow(six)] == [6]
+        assert six.verdicts[0].trigger_pc == events[-1].pc
+
+    def test_no_resignal_before_reset(self):
+        # 10 mispredictions at t_m=3, each after 20 plains so no interval
+        # passes: one signal per 3 misses, the last one left open.
+        flow = control_flow(Trace(1, _bare_returns(10, plains=20)))
+        report = run(flow, DetectorConfig(t_m=3))
+        assert [r.n_m for r in _overflow(report)] == [3, 3, 3]
+        assert report.intervals[-1].closed_by is ClosedBy.END_OF_TRACE
+        assert report.intervals[-1].n_m == 1
+
+    def test_counting_mode_never_signals(self):
+        events = [Plain(4 * i) for i in range(1000)]
+        for i in range(100):
+            events += [Call(0x8000 + 8 * i, 0x20000, 0x8004 + 8 * i),
+                       Return(0x20000, 0x8004 + 8 * i)]
+        report = run(control_flow(Trace(1, events)))
+        assert not _overflow(report)
+        rec = report.intervals[-1]
+        assert (rec.n_i, rec.n_r, rec.n_m) == (1200, 100, 0)
+
+    def test_reset_zeroes_and_rearms(self):
+        # Three failing intervals of identical shape: each record holds its
+        # own counts only, and a fresh interval needs all t_m misses again.
+        report = run(control_flow(Trace(1, _gadgets([8] * 20))))
+        assert [(r.n_i, r.n_r, r.n_m) for r in _overflow(report)] == [(48, 6, 6)] * 3
+        assert (report.intervals[-1].n_i, report.intervals[-1].n_m) == (16, 2)
+
+    def test_residual_threshold(self):
+        # 2 + 2 misses parked over two switches and restored each time: the
+        # last 2 misses complete the interval of 6.
+        events = _bare_returns(2, plains=20)
+        events += [Switch(2), Plain(0), Switch(1)]
+        events += _bare_returns(2, base=0x2000, plains=20)
+        events += [Switch(3), Plain(0), Switch(1)]
+        events += _bare_returns(2, base=0x4000, plains=20)
+        report = run(control_flow(Trace(1, events)))
+        assert [(r.pid, r.n_m, r.n_r) for r in _overflow(report)] == [(1, 6, 6)]
+
+    def test_read_is_side_effect_free(self):
+        # Reading the counts at a switch does not change them: switching a
+        # process out and back with nothing run in between leaves its
+        # interval as it was.
+        events = _bare_returns(4)
+        tail = _bare_returns(2, base=0x4000)
+        plain = run(control_flow(Trace(1, events + tail)))
+        idle = [Switch(2), Switch(1)] * 3
+        switched = run(control_flow(Trace(1, events + idle + tail)))
+        assert ([(r.n_i, r.n_r, r.n_m) for r in _overflow(switched)]
+                == [(r.n_i, r.n_r, r.n_m) for r in _overflow(plain)]
+                == [(6, 6, 6)])
+        assert switched.verdicts == plain.verdicts
+
+    def test_six_four_instruction_gadgets_read_24_6_6(self):
+        report = run(control_flow(Trace(1, _gadgets([4] * 6))))
+        assert [(r.n_i, r.n_r, r.n_m) for r in _overflow(report)] == [(24, 6, 6)]
+        assert not report.clean
+
+    def test_zero_threshold_rejected(self):
+        # An interval closes at t_m misses, so t_m must be at least 1.
+        with pytest.raises(ValueError):
+            DetectorConfig(t_m=0)
+
+    def test_counts_are_monotone_within_cycle(self):
+        # A return is an instruction and a misprediction is a return.
+        for seed in range(30):
+            for rec in run(control_flow(chaos_trace(random.Random(seed)))).intervals:
+                assert rec.n_m <= rec.n_r <= rec.n_i
+
+
+class TestCounter:
+    def test_standalone_sampling(self):
+        # t_m=1: every mispredicted return closes its own interval, and a
+        # correctly predicted one closes none.
+        events = _bare_returns(3, plains=10)
+        events += [Call(0x7000, 0x20000, 0x7004), Return(0x20000, 0x7004)]
+        report = run(control_flow(Trace(1, events)), DetectorConfig(t_m=1))
+        assert [(r.n_r, r.n_m) for r in _overflow(report)] == [(1, 1)] * 3
+        assert (report.intervals[-1].n_r, report.intervals[-1].n_m) == (1, 0)
+
+    def test_counting_mode(self):
+        # Live counts are not one byte: only parked counts saturate.
+        report = run(control_flow(Trace(1, [Plain(4 * i) for i in range(300)])))
+        assert report.intervals[-1].n_i == 300
 
 
 # -- agreement with the oracle over the configurations the API accepts ---------
@@ -378,14 +504,12 @@ def configs(draw):
 def _assert_agrees(trace, t_m, t_i, capacity, flush, table):
     cfg = DetectorConfig(t_m=t_m, t_i=t_i, table_enabled=table,
                          ras_capacity=capacity, flush_ras_on_switch=flush)
-    report = run(trace, cfg)
-    got = detector_verdict_tuples(report)
-    want = reference_verdicts(trace, t_m, t_i, capacity, table_enabled=table,
-                              flush_ras_on_switch=flush)
-    assert got == want
+    want = reference_jsonl(trace, t_m, t_i, capacity, table_enabled=table,
+                           flush_ras_on_switch=flush)
+    assert run(control_flow(trace), cfg).to_jsonl() == want
     # The scanned text gives the same records as the parsed events.
     scanned = scan_trace(serialize_trace(trace).encode("ascii"))
-    assert run(scanned, cfg).to_jsonl() == report.to_jsonl()
+    assert run(scanned, cfg).to_jsonl() == want
 
 
 class TestOracleAgreement:

@@ -2,10 +2,12 @@ import io
 
 import pytest
 
+from ropsim import harness
 from ropsim.detector import DetectorConfig, run
 from ropsim.harness import (ROW_FIELDS, SUMMARY_FIELDS, SweepSpec,
                             SweepSpecError, derive_seed, run_sweep,
                             scatter_point, summarize_rows, write_csv)
+from ropsim.trace import ControlFlow, control_flow
 from ropsim.workload import BenignSpec, RopSpec, gen_benign, gen_rop
 
 
@@ -19,11 +21,11 @@ class TestScatterPoint:
     def test_no_overflow_interval_yields_absent_coordinates(self):
         trace = gen_benign(BenignSpec(total_instructions=2000,
                                       mispredict_burst_count=0, seed=1))
-        assert scatter_point(run(trace)) == (None, None)
+        assert scatter_point(run(control_flow(trace))) == (None, None)
 
     def test_detected_payload_sits_in_the_detection_region(self):
         trace = gen_rop(RopSpec(chain_length=12, prologue=100, seed=3))
-        min_n_r, paired_n_i = scatter_point(run(trace))
+        min_n_r, paired_n_i = scatter_point(run(control_flow(trace)))
         assert min_n_r == 6
         assert paired_n_i <= 36
 
@@ -31,7 +33,7 @@ class TestScatterPoint:
         trace = gen_benign(BenignSpec(total_instructions=20_000,
                                       mispredict_burst_count=5,
                                       gap_profile="mixed", seed=4))
-        min_n_r, paired_n_i = scatter_point(run(trace))
+        min_n_r, paired_n_i = scatter_point(run(control_flow(trace)))
         if min_n_r is not None:
             assert min_n_r > 6 or paired_n_i > 36
 
@@ -134,6 +136,24 @@ class TestRunSweep:
         rows2, summary2 = run_sweep(SweepSpec.from_mapping(SMALL_SPEC))
         assert rows == rows2
         assert summary == summary2
+
+    def test_each_trace_is_compiled_once(self, monkeypatch):
+        # Every (t_m, t_i) cell of a trace runs on the same ControlFlow.
+        flows = []
+
+        def spy(flow, cfg=None):
+            flows.append(flow)
+            return run(flow, cfg)
+
+        monkeypatch.setattr(harness, "run", spy)
+        spec = SweepSpec.from_mapping({"t_m_values": [4, 6], "t_i_values": [5, 6],
+                                       "g_values": [8], "alignment_offsets": [0, 1],
+                                       "benign_count": 2, "benign_events": 2000,
+                                       "benign_bursts": 1, "seeds": [0]})
+        rows, _ = run_sweep(spec)
+        assert len(flows) == len(rows) == 4 * 4
+        assert all(isinstance(flow, ControlFlow) for flow in flows)
+        assert len({id(flow) for flow in flows}) == 4  # traces
 
 
 def test_write_csv_format():

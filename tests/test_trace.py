@@ -242,5 +242,5 @@ def test_instruction_count_excludes_switches():
     # Without the table each pid's counts are recorded at the switch and
     # at the end: together they count every event but the switch.
     t = Trace(1, [Plain(0), Switch(2), Call(0, 4, 4), Return(8, 4)])
-    report = run(t, DetectorConfig(table_enabled=False))
+    report = run(control_flow(t), DetectorConfig(table_enabled=False))
     assert sum(r.n_i for r in report.intervals) == 3

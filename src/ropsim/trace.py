@@ -17,10 +17,10 @@ re-serializes to the same bytes.  Plain, Call and Return each count as
 one retired instruction; Switch counts as zero.
 
 The detector reads a trace as its `ControlFlow`, which `control_flow`
-derives from a `Trace` and `scan_trace` builds straight from the text,
-without one object per instruction.  The scanner and `parse_trace` share
-one grammar and accept the same language; on rejected text the scanner
-re-runs `parse_trace`, so both raise the same `TraceParseError`.
+derives from a `Trace` and `scan_trace` reads from the text with numpy,
+one chunk of lines at a time: lines are found by their newlines and
+classed by their first byte, and the parser's field table gives the
+widths and offsets by which fixed-width records are checked as arrays.
 
 Event objects are plain mutable-slot containers but are treated as
 immutable values everywhere in this package.
@@ -75,7 +75,7 @@ class Trace:
     events: list[TraceEvent] = field(default_factory=list)
 
 
-# Control-flow item kinds; each but END is the `lastindex` of its `_CONTROL` match.
+# Control-flow item kinds.
 CALL, RETURN, SWITCH, END = 3, 5, 6, 0
 
 
@@ -112,25 +112,15 @@ _ADDR = "[0-9a-f]{8}"
 _PID = "0|[1-9][0-9]*+"
 _FIELDS = {"I": (_ADDR,), "C": (_ADDR,) * 3, "R": (_ADDR,) * 2,
            "X": (_PID,), "P": (_PID,)}
-
-
-def _records(tags: str, capture: bool) -> str:
-    """Alternation of the canonical forms of `tags`, fields captured or not."""
-    group = "({})" if capture else "(?:{})"
-    return "|".join(" ".join([tag, *map(group.format, _FIELDS[tag])])
-                    for tag in tags)
-
-
 # One record per line; `lastindex` of a match names the record:
 # 1 plain, 4 call, 6 return, 7 switch, 8 header.
-_RECORD = re.compile(_records("ICRXP", True))
-# A whole file: comment or blank lines, the header, then any other lines.
-# Possessive loops keep no backtracking state, so memory stays flat.
-_COMMENT = r"#[\x00-\x09\x0b-\x7f]*+"
-_FILE = re.compile((rf"(?:(?:{_COMMENT})?\n)*+{_records('P', True)}"
-                    rf"(?:\n(?:{_records('ICRX', False)}|{_COMMENT})?)*+").encode())
-# A call, return or switch line of text that `_FILE` accepted.
-_CONTROL = re.compile(f"\n(?:{_records('CRX', True)})".encode())
+_RECORD = re.compile("|".join(" ".join([tag, *map("({})".format, fields)])
+                              for tag, fields in _FIELDS.items()))
+# Address-only records have a fixed width: tag -> (line length, address offsets).
+_FIXED = {tag: (1 + 9 * len(fields), range(2, 9 * len(fields), 9))
+          for tag, fields in _FIELDS.items() if set(fields) == {_ADDR}}
+# Bytes of text the scanner takes at a time, up to the last newline in them.
+SCAN_CHUNK = 1 << 18
 
 
 def _bad_record(lineno: int, line: str) -> TraceParseError:
@@ -141,6 +131,13 @@ def _bad_record(lineno: int, line: str) -> TraceParseError:
     return TraceParseError(
         lineno, f"bad record {line!r}: expected '{form}' (addr: 8 "
         "lowercase hex digits; pid: decimal, no sign or leading zero)")
+
+
+def _parse_pid(lineno: int, digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than `int` converts
+        raise TraceParseError(lineno, f"process id of {len(digits)} digits is too long") from None
 
 
 def parse_trace(text: Union[str, bytes]) -> Trace:
@@ -167,7 +164,7 @@ def parse_trace(text: Union[str, bytes]) -> Trace:
             # Events need a header before them, so a second one is a duplicate.
             if initial is not None:
                 raise TraceParseError(lineno, "duplicate header record")
-            initial = int(m[8])
+            initial = _parse_pid(lineno, m[8])
             continue
         if initial is None:
             raise TraceParseError(lineno, "missing 'P <pid>' header record")
@@ -178,7 +175,7 @@ def parse_trace(text: Union[str, bytes]) -> Trace:
         elif kind == 6:
             append(Return(int(m[5], 16), int(m[6], 16)))
         else:
-            append(Switch(int(m[7])))
+            append(Switch(_parse_pid(lineno, m[7])))
     if initial is None:
         raise TraceParseError(1, "missing 'P <pid>' header record")
     return Trace(initial, events)
@@ -226,31 +223,82 @@ def control_flow(trace: Trace) -> ControlFlow:
 
 
 def scan_trace(data: bytes) -> ControlFlow:
-    """`control_flow(parse_trace(data))`, raising the same errors.
+    """`control_flow(parse_trace(data))`; on text that fails a check,
+    `parse_trace` runs on it to raise the same `TraceParseError`."""
+    try:
+        return _scan(data)
+    except ValueError:
+        pass
+    parse_trace(data)
+    raise AssertionError("scan_trace rejected a trace that parse_trace accepts")
 
-    One match validates the whole text, a second visits only the call,
-    return and switch lines, and the plain lines between are counted.
-    """
-    header = _FILE.fullmatch(data)
-    if header is None:
-        parse_trace(data)
-        raise AssertionError("scan_trace rejected a trace that parse_trace accepts")
-    items = []
-    append = items.append
-    count = data.count
-    pos = header.end(1)
-    for m in _CONTROL.finditer(data, pos):
-        plains = count(b"\nI ", pos, m.start())
-        kind = m.lastindex
-        if kind == CALL:
-            append((plains, CALL, int(m[1], 16), int(m[3], 16)))
-        elif kind == RETURN:
-            append((plains, RETURN, int(m[4], 16), int(m[5], 16)))
-        else:
-            append((plains, SWITCH, int(m[6]), 0))
-        pos = m.end()
-    append((count(b"\nI ", pos), END, 0, 0))
-    return ControlFlow(int(header[1]), items)
+
+def _require(ok) -> None:
+    if not ok:
+        raise ValueError("not a canonical trace")
+
+
+def _scan(data: bytes) -> ControlFlow:
+    import numpy as np
+    text = np.frombuffer(data, np.uint8)
+    # The 8 bytes at each offset, so that one gather reads one address.
+    words = np.ndarray((max(len(text) - 7, 0),), np.uint64, data, 0, (1,))
+    kind_of = np.zeros(256, np.int8)
+    kind_of[list(b"CRX")] = CALL, RETURN, SWITCH
+
+    def pid(line: int) -> int:     # of a switch or header line of the current chunk
+        m = _RECORD.fullmatch(data[starts[line]:ends[line]].decode())
+        _require(m)
+        return int(m[m.lastindex])  # a ValueError if it has too many digits
+
+    initial, items = None, []
+    start = plains = mark = 0   # `mark`: the plain lines up to the last item
+    while start < len(text):
+        end = start + SCAN_CHUNK    # cut after the chunk's last newline, or the next one
+        end = data.rfind(b"\n", start, end) + 1 or data.find(b"\n", end) + 1 or len(text)
+        chunk = text[start:end]
+        _require(chunk.max() < 0x80)
+        ends = start + np.flatnonzero(chunk == 10)
+        if chunk[-1] != 10:     # the last line of a file without a final newline
+            ends = np.append(ends, end)
+        starts = np.append(start, ends[:-1] + 1)
+        tags = text[starts]     # a blank line's tag is its newline
+        _require(np.isin(tags, list(b"\n#" + "".join(_FIELDS).encode())).all())
+
+        # Only comment and blank lines, whose tags sort first, precede the header.
+        headers = np.flatnonzero(tags == ord("P"))
+        if initial is None and (tags > ord("#")).any():
+            _require(tags[(tags > ord("#")).argmax()] == ord("P"))
+            initial, headers = pid(headers[0]), headers[1:]
+        _require(not len(headers))
+
+        control = np.flatnonzero(kind_of[tags])
+        first, last = np.zeros((2, len(control)), np.int64)
+        for tag, (length, fields) in _FIXED.items():
+            rows = np.flatnonzero(tags == ord(tag))
+            _require((ends[rows] - starts[rows] == length).all())
+            at = starts[rows, None] + fields
+            digits = words[at].view(np.uint8)
+            _require((text[at - 1] == 32).all())
+            _require((((digits - 48) < 10) | ((digits - 97) < 6)).all())
+            if tag != "I":
+                values = np.frombuffer(bytes.fromhex(digits.tobytes().decode()), ">u4")
+                at = np.searchsorted(control, rows)
+                first[at] = values[::len(fields)]
+                last[at] = values[len(fields) - 1::len(fields)]
+        kinds = kind_of[tags[control]]
+        counts = plains + np.cumsum(tags == ord("I"))
+        before = np.diff(counts[control], prepend=mark)
+        mark = counts[control[-1]] if len(control) else mark
+        plains = counts[-1]
+        a = first.tolist()
+        for i in np.flatnonzero(kinds == SWITCH).tolist():
+            a[i] = pid(control[i])
+        items.extend(zip(before.tolist(), kinds.tolist(), a, last.tolist()))
+        start = end
+    _require(initial is not None)
+    items.append((int(plains - mark), END, 0, 0))
+    return ControlFlow(initial, items)
 
 
 def load_trace(path) -> ControlFlow:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 
 from .detector import DEFAULT_CAPACITY

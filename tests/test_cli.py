@@ -104,6 +104,16 @@ class TestDetect:
             assert code == 1, argv
             assert f"ropsim {argv[0]}: error:" in err, argv
 
+    def test_pid_too_long_for_int_is_an_input_error(self, tmp_path, capsys):
+        # int() refuses more than 4300 digits by default.
+        bad = tmp_path / "bad.trace"
+        bad.write_text("P 1\nX " + "1" * 5000 + "\n")
+        code, out, err = run_cli(["detect", str(bad)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("ropsim: error:")
+        assert "line 2: process id of 5000 digits is too long" in err
+
     def test_non_ascii_byte_reports_its_line(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()

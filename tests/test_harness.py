@@ -3,10 +3,10 @@ import io
 import pytest
 
 from ropsim import harness
-from ropsim.detector import DetectorConfig, run
-from ropsim.harness import (ROW_FIELDS, SUMMARY_FIELDS, SweepSpec,
-                            SweepSpecError, derive_seed, run_sweep,
-                            scatter_point, summarize_rows, write_csv)
+from ropsim.detector import run
+from ropsim.harness import (SUMMARY_FIELDS, SweepSpec, SweepSpecError,
+                            derive_seed, run_sweep, scatter_point,
+                            summarize_rows, write_csv)
 from ropsim.trace import ControlFlow, control_flow
 from ropsim.workload import BenignSpec, RopSpec, gen_benign, gen_rop
 

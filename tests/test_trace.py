@@ -1,9 +1,11 @@
+import functools
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ropsim import trace as trace_mod
 from ropsim.detector import DetectorConfig, run
 from ropsim.trace import (CALL, END, KERNEL_BASE, RETURN, SWITCH, Call,
                           ControlFlow, Plain, PrivilegeLevel, Return, Switch,
@@ -162,6 +164,15 @@ class TestParse:
             parse_trace(b"P 1\n# ok\nI 0000000\xc3\xa9\n")
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize("text, line", [
+        (b"P 1\nX " + b"1" * 5000 + b"\n", 2), (b"P " + b"9" * 5000 + b"\n", 1)],
+        ids=["switch", "header"])
+    def test_pid_too_long_for_int(self, text, line):
+        # int() refuses more than 4300 digits by default.
+        message = f"line {line}: process id of 5000 digits is too long"
+        assert _parsed(text) == (line, message)
+        assert _scanned(text) == (line, message)
+
 
 class TestSerialize:
     def test_empty_trace(self):
@@ -203,6 +214,58 @@ class TestControlFlow:
     def test_scanner_and_parser_accept_the_same_language(self, text):
         # Same items on accepted text; the same line and message on rejected text.
         assert _scanned(text) == _parsed(text)
+
+
+@functools.cache
+def _chunked_text(seed: int) -> bytes:
+    """A text of more than two scanner chunks, with comment and blank lines
+    on both sides of each cut, one comment longer than a chunk, and a last
+    line without a newline.  A chunk is cut after its last newline."""
+    chunk = trace_mod.SCAN_CHUNK
+    rng = random.Random(seed)
+    addr = lambda: f"{rng.getrandbits(32):08x}"
+    forms = [lambda: f"I {addr()}", lambda: f"C {addr()} {addr()} {addr()}",
+             lambda: f"R {addr()} {addr()}", lambda: f"X {rng.randrange(5)}"]
+    records = [f"{rng.choices(forms, weights=(12, 1, 1, 1))[0]()}\n".encode()
+               for _ in range(4096)]
+    out = bytearray(b"# chunked\nP 3\n")
+    start = 0                                   # where the current chunk starts
+    for comment in (b"# after", b"#" + b"~" * (chunk + 100), b"# after"):
+        while len(out) < start + chunk - 64:    # in lines of at most 29 bytes
+            out += b"".join(rng.choices(records, k=1 + (start + chunk - 64 - len(out)) // 29))
+        out += b"# before\n\n"
+        cut = len(out)
+        # A comment that crosses the chunk's end, so that the blank line ends
+        # the chunk; a comment longer than a chunk is a chunk by itself.
+        out += comment + b"." * max(0, start + chunk - cut) + b"\n"
+        start = len(out) if len(comment) > chunk else cut
+        out += b"\n"
+    return bytes(out + b"I 0000abcd")
+
+
+class TestChunks:
+    def test_scan_across_chunks_equals_parse(self):
+        text = _chunked_text(5)
+        assert len(text) > 3 * trace_mod.SCAN_CHUNK and not text.endswith(b"\n")
+        start = 0   # each cut has a comment or blank line on both sides
+        while start < len(text) - trace_mod.SCAN_CHUNK:
+            end = start + trace_mod.SCAN_CHUNK
+            start = text.rfind(b"\n", start, end) + 1 or text.index(b"\n", end) + 1
+            before = text.rfind(b"\n", 0, start - 1) + 1
+            assert text[before] in b"\n#" and text[start] in b"\n#", start
+        flow = scan_trace(text)
+        assert flow == control_flow(parse_trace(text))
+        assert {kind for _, kind, _, _ in flow.items} == {CALL, RETURN, SWITCH, END}
+
+    @pytest.mark.parametrize("record", [b"I 0000000G", b"P 12345678", b"X 01234567",
+                                        b"Z 00000000"])
+    def test_bad_record_in_the_second_chunk(self, record):
+        text = _chunked_text(5)
+        at = text.index(b"\nI ", trace_mod.SCAN_CHUNK + 1000) + 1
+        bad = text[:at] + record + text[at + len(record):]     # replaces one I line
+        line = text.count(b"\n", 0, at) + 1
+        assert _scanned(bad) == _parsed(bad)
+        assert _scanned(bad)[0] == line
 
 
 class TestRoundTrip:

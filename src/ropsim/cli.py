@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .detector import DEFAULT_CAPACITY, DetectorConfig, run
 from .harness import (ROW_FIELDS, SUMMARY_FIELDS, SweepSpec, SweepSpecError,
-                      run_sweep, scatter_point, write_csv)
+                      _is_int, run_sweep, scatter_point, write_csv)
 from .trace import (PrivilegeLevel, TraceParseError, load_trace, parse_trace,
                     serialize_trace)
 from .workload import (BenignSpec, GAP_PROFILES, GenerationError,
@@ -169,14 +169,14 @@ def cmd_interleave(args) -> int:
         return _fail("spec 'parts' must be an object mapping pids to trace paths")
     if (not isinstance(doc["schedule"], list)
             or not all(isinstance(item, list) and len(item) == 2
-                       for item in doc["schedule"])):
-        return _fail("spec 'schedule' must be a list of [pid, events] pairs")
+                       and all(map(_is_int, item)) for item in doc["schedule"])):
+        return _fail("spec 'schedule' must be a list of [pid, events] integer pairs")
     try:
         parts = [(int(pid), parse_trace(Path(path).read_bytes()))
                  for pid, path in sorted(doc["parts"].items(), key=lambda kv: int(kv[0]))]
-        schedule = [(int(pid), int(count)) for pid, count in doc["schedule"]]
     except (OSError, TraceParseError, TypeError, ValueError) as exc:
         return _fail(f"bad spec: {exc}")
+    schedule = [(pid, count) for pid, count in doc["schedule"]]
     spec = InterleaveSpec(parts=parts, schedule=schedule)
     try:
         trace = interleave(spec)

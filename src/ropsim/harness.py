@@ -13,10 +13,11 @@ from __future__ import annotations
 import csv
 import random
 from dataclasses import dataclass, field
+from itertools import product
 from typing import IO
 
-from .detector import (DEFAULT_CAPACITY, SATURATE_AT, ClosedBy,
-                       DetectionReport, DetectorConfig, run)
+from .detector import (DEFAULT_CAPACITY, ClosedBy, DetectionReport,
+                       DetectorConfig, run)
 from .trace import PrivilegeLevel, Trace, control_flow
 from .workload import BenignSpec, GAP_PROFILES, RopSpec, gen_benign, gen_rop
 
@@ -97,11 +98,11 @@ class SweepSpec:
                     raise SweepSpecError(f"{name} must be an int")
                 kwargs[name] = data[name]
         spec = cls(**kwargs)
-        if any(v < 1 for v in spec.t_m_values) or any(v < 1 for v in spec.t_i_values):
-            raise SweepSpecError("t_m and t_i values must be >= 1")
-        if max(spec.t_m_values) * max(spec.t_i_values) >= SATURATE_AT:
-            raise SweepSpecError(
-                "every t_m * t_i must be below 255 (one-byte table entries)")
+        try:  # every grid cell must be a valid detector configuration
+            for t_m, t_i in product(spec.t_m_values, spec.t_i_values):
+                DetectorConfig(t_m=t_m, t_i=t_i, ras_capacity=spec.ras_capacity)
+        except ValueError as exc:
+            raise SweepSpecError(f"sweep grid: {exc}") from None
         if any(g < 1 for g in spec.g_values):
             raise SweepSpecError("g_values must be >= 1")
         if any(o < 0 for o in spec.alignment_offsets):
@@ -114,8 +115,6 @@ class SweepSpec:
             raise SweepSpecError("gadget_size_lo must be >= 1")
         if spec.gadget_size_lo > spec.gadget_size_hi:
             raise SweepSpecError("gadget_size_lo must not exceed gadget_size_hi")
-        if spec.ras_capacity < 1:
-            raise SweepSpecError("ras_capacity must be >= 1")
         return spec
 
 

@@ -114,7 +114,6 @@ class _Emitter:
         self.events: list[TraceEvent] = []
         self.pc = USER_CODE_LO
         self.shadow: list[int] = []
-        self.instructions = 0
 
     def plains(self, n: int) -> None:
         if n <= 0:
@@ -125,7 +124,6 @@ class _Emitter:
             append(Plain(pc))
             pc += 4
         self.pc = pc
-        self.instructions += n
 
     def call(self) -> None:
         pc = self.pc
@@ -134,38 +132,28 @@ class _Emitter:
         self.events.append(Call(pc, target, return_addr))
         self.shadow.append(return_addr)
         self.pc = target
-        self.instructions += 1
 
     def ret_matched(self) -> None:
-        return_addr = self.shadow.pop()
-        self.events.append(Return(self.pc, return_addr))
-        self.pc = return_addr
-        self.instructions += 1
+        self.ret_to(self.shadow.pop())
 
     def ret_to(self, target: int) -> None:
         """A return that ignores the software stack (corrupted/absent frame)."""
         self.events.append(Return(self.pc, target))
         self.pc = target
-        self.instructions += 1
 
-    def nest(self, depth: int) -> None:
-        """A balanced call/return nest; leaves the stack as it found it."""
-        rng = self.rng
+    def nest(self, depth: int, _frame: tuple[int, int] = (0, 3),
+             _unwind: tuple[int, int] = (0, 3)) -> None:
+        """A balanced call/return nest; leaves the stack as it found it.
+
+        `_frame` plains follow each call, `_unwind` plains precede each return."""
+        randint = self.rng.randint
+        frame_lo, frame_hi = _frame
+        unwind_lo, unwind_hi = _unwind
         for _ in range(depth):
             self.call()
-            self.plains(rng.randint(0, 3))
+            self.plains(randint(frame_lo, frame_hi))
         for _ in range(depth):
-            self.plains(rng.randint(0, 3))
-            self.ret_matched()
-
-    def burst(self, k: int, capacity: int, gap_lo: int, gap_hi: int) -> None:
-        """Recursion `capacity + k` deep; the unwind mispredicts exactly k times."""
-        rng = self.rng
-        for _ in range(capacity + k):
-            self.call()
-            self.plains(rng.randint(0, 1))
-        for _ in range(capacity + k):
-            self.plains(rng.randint(gap_lo, gap_hi))
+            self.plains(randint(unwind_lo, unwind_hi))
             self.ret_matched()
 
 
@@ -219,26 +207,24 @@ def gen_benign(spec: BenignSpec) -> Trace:
             "total_instructions too small for the requested bursts")
     segment_target = usable // (len(plan) + 1) if plan else 0
 
-    def filler(stop: int) -> None:
-        # A nest leads every filler segment so any interval spanning two
-        # bursts picks up correctly predicted returns.
-        em.nest(rng.randint(1, nest_cap))
-        while em.instructions < stop:
+    def fill(stop: int) -> None:
+        while len(em.events) < stop:
             if rng.random() < 0.4:
                 em.nest(rng.randint(1, nest_cap))
             else:
                 em.plains(rng.randint(4, 40))
 
     for k, gap_lo, gap_hi in plan:
-        filler(em.instructions + segment_target)
-        em.burst(k, spec.ras_capacity, gap_lo, gap_hi)
+        stop = len(em.events) + segment_target
+        # A nest leads every filler segment so any interval spanning two
+        # bursts picks up correctly predicted returns.
+        em.nest(rng.randint(1, nest_cap))
+        fill(stop)
+        # Recursion `capacity + k` deep: the unwind mispredicts exactly k times.
+        em.nest(spec.ras_capacity + k, _frame=(0, 1), _unwind=(gap_lo, gap_hi))
     # Exact tail fill: land on the requested instruction count.
-    while total - em.instructions > 64:
-        if rng.random() < 0.4:
-            em.nest(rng.randint(1, nest_cap))
-        else:
-            em.plains(rng.randint(4, 40))
-    em.plains(total - em.instructions)
+    fill(total - 64)
+    em.plains(total - len(em.events))
 
     trace = Trace(1, em.events)
     flags = replay_mispredictions(trace, spec.ras_capacity)
@@ -247,18 +233,12 @@ def gen_benign(spec: BenignSpec) -> Trace:
     if sorted(runs) != expected:
         raise AssertionError(
             f"benign generator produced runs {sorted(runs)}, planned {expected}")
-    if em.instructions != total:
+    if len(em.events) != total:
         raise AssertionError("benign generator missed the instruction target")
     return trace
 
 
 # -- ROP payload traces -------------------------------------------------------
-
-def _gadget_region(region: PrivilegeLevel) -> tuple[int, int]:
-    if region is PrivilegeLevel.KERNEL:
-        return KERNEL_CODE_LO, KERNEL_CODE_HI
-    return USER_CODE_LO, USER_CODE_HI
-
 
 def gen_rop(spec: RopSpec) -> Trace:
     """Benign prologue, alignment mispredictions, then the gadget chain."""
@@ -279,7 +259,7 @@ def gen_rop(spec: RopSpec) -> Trace:
 
     em = _Emitter(rng)
     nest_cap = 6
-    while em.instructions < spec.prologue:
+    while len(em.events) < spec.prologue:
         if rng.random() < 0.5:
             em.nest(rng.randint(1, nest_cap))
         else:
@@ -292,9 +272,12 @@ def gen_rop(spec: RopSpec) -> Trace:
         em.plains(rng.randint(1, 3))
         em.ret_to(rng.randrange(USER_CODE_LO, USER_CODE_HI, 4))
 
-    lo, hi = _gadget_region(spec.address_region)
+    kernel = spec.address_region is PrivilegeLevel.KERNEL
+    lo, hi = (KERNEL_CODE_LO, KERNEL_CODE_HI) if kernel else (USER_CODE_LO, USER_CODE_HI)
     bases = [rng.randrange(lo, hi - 64, 16) for _ in range(g)]
     for i, size in enumerate(sizes):
+        if bases[i] + 4 * (size - 1) > 0xFFFFFFFF:
+            raise GenerationError(f"gadget {i} runs past address 0xffffffff")
         em.pc = bases[i]
         em.plains(size - 1)
         target = bases[i + 1] if i + 1 < g else rng.randrange(lo, hi - 64, 4)

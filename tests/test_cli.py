@@ -217,12 +217,14 @@ class TestInterleaveCommand:
             assert "Traceback" not in err, spec
 
     def test_schedule_must_be_pid_count_pairs(self, tmp_path, capsys):
-        # Each bad schedule reads as [(1, 9)] when its strings are unpacked
-        # character by character, and the part has exactly 9 events.
+        # Each bad schedule reads as 9 events of pid 1 when its strings are
+        # unpacked character by character or its items are coerced with
+        # int(), and the part has exactly 9 events.
         write_trace(Trace(1, [Plain(4 * i) for i in range(9)]),
                     tmp_path / "a.trace")
         spec_path = tmp_path / "weave.json"
-        for schedule in (["19"], {"19": 1}):
+        for schedule in (["19"], {"19": 1}, [[1, 9.9]], [[1, 8], [1, True]],
+                         [["1", "9"]], [[1.7, 9]], [[True, 9]]):
             spec = {"parts": {"1": str(tmp_path / "a.trace")},
                     "schedule": schedule}
             spec_path.write_text(json.dumps(spec))

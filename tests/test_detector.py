@@ -150,7 +150,7 @@ class TestIntervals:
 
 
 class TestSwitchHandling:
-    def test_exit_side_creates_entry_with_bank_values(self):
+    def test_parked_counts_resume_after_switch_back(self):
         # pid 1: 8 plains + 2 bare returns -> counts (10, 2, 2), parked on
         # switch; switched back in, 4 more bare returns complete the
         # interval on top of the parked counts.
@@ -163,7 +163,7 @@ class TestSwitchHandling:
                 == [(1, 14, 6, 6)])
         assert report.intervals[0].closed_by is ClosedBy.OVERFLOW
 
-    def test_entry_side_sets_residual_threshold(self):
+    def test_restored_misses_count_toward_t_m(self):
         # pid 1 accumulates 4 mispredictions, is switched out and back in:
         # its 4 are restored, so one more miss closes nothing and two
         # close one interval.
@@ -277,7 +277,7 @@ class TestSplitChain:
             assert got == want
 
 
-class TestProcessEntry:
+class TestParkedCounts:
     def test_saturates_at_one_byte(self):
         # Parks of 200 and then 100 more plains: the parked interval closes
         # with its instruction count clamped at 255, whether a counter

@@ -1,7 +1,11 @@
-"""Output bytes of `ropsim detect` and `ropsim sweep`, pinned as SHA-256 digests.
+"""Output bytes of the generators, `ropsim detect` and `ropsim sweep`, pinned
+as SHA-256 digests.
 
-Each case writes a seeded input, runs the command through `cli.main` and
-compares the digest of what it wrote.  Any change to an interval record,
+Each generator case serializes a seeded trace from `gen_benign` (at every
+gap profile), `gen_rop` (user and kernel region) or `interleave`, so a
+change to any address, draw or event order shows here.  Each command case
+writes a seeded input, runs the command through `cli.main` and compares
+the digest of what it wrote.  Any change to an interval record,
 a verdict, a JSONL field or a CSV cell changes a digest, so a refactor
 that must keep the output bytes is checked here byte for byte.  The
 inputs cover a benign trace, a split gadget chain with and without the
@@ -12,12 +16,15 @@ with and without the predictor flush.
 
 import hashlib
 import json
+from functools import partial
 
 import pytest
 
 from ropsim.cli import main
-from ropsim.trace import Plain, Return, Switch, Trace, serialize_trace
-from ropsim.workload import BenignSpec, InterleaveSpec, gen_benign, interleave
+from ropsim.trace import (Plain, PrivilegeLevel, Return, Switch, Trace,
+                         serialize_trace)
+from ropsim.workload import (BenignSpec, InterleaveSpec, RopSpec, gen_benign,
+                             gen_rop, interleave)
 
 from helpers import split_attack_trace
 
@@ -57,6 +64,49 @@ def _round_robin() -> Trace:
     return interleave(InterleaveSpec(parts=parts, schedule=schedule))
 
 
+def _benign_at(profile: str) -> Trace:
+    return gen_benign(BenignSpec(total_instructions=20_000,
+                                 mispredict_burst_count=5,
+                                 gap_profile=profile, seed=7))
+
+
+def _rop_user() -> Trace:
+    return gen_rop(RopSpec(chain_length=12, alignment_offset=3, prologue=300,
+                           seed=5))
+
+
+def _rop_kernel() -> Trace:
+    return gen_rop(RopSpec(chain_length=4, gadget_sizes=[1, 3, 5, 40],
+                           prologue=100, address_region=PrivilegeLevel.KERNEL,
+                           seed=11))
+
+
+def _interleaved() -> Trace:
+    """A benign process and a gadget chain, switched at uneven quanta."""
+    benign = gen_benign(BenignSpec(total_instructions=3000,
+                                   mispredict_burst_count=1, seed=2))
+    rop = gen_rop(RopSpec(chain_length=6, prologue=200, seed=2))
+    rest = len(rop.events) - 70
+    schedule = [(4, 1000), (9, 30), (4, 500), (9, 40), (4, 1500), (9, rest)]
+    return interleave(InterleaveSpec(parts=[(4, benign), (9, rop)],
+                                     schedule=schedule))
+
+
+TRACE_CASES = {
+    "benign-sparse": (partial(_benign_at, "sparse"),
+                      "08523c147567661c43be2581f30210f336f9e1f37b8758ca1eebc4a5c2bad488"),
+    "benign-dense": (partial(_benign_at, "dense"),
+                     "52f869fc085beb9af888b5d983c656f549893b4c0b2f5432606811d68cb96151"),
+    "benign-mixed": (partial(_benign_at, "mixed"),
+                     "440f8c6c3273f15c6309673b5f1599f945242b39cd042b70b7af1ea5183db9e4"),
+    "rop-user": (_rop_user,
+                 "6d77223bc63ed06a106a7b1c7b8c869ce49f0165c771be5dd80da77ac6dbd6b1"),
+    "rop-kernel": (_rop_kernel,
+                   "4a59c5235d027f23f112b13220989dd841b13feff0b35c0fe8cdf00eb8335a2a"),
+    "interleave": (_interleaved,
+                   "68bcfec5851534cc33e777dbedcfc54a67150258926e6daf0277f796cc1e04a5"),
+}
+
 DETECT_CASES = {
     "benign": (_benign, [], 0,
                "45eb5a695731a2e98ed524c49849e474b36577862448906c9dc0bbb803759d40"),
@@ -83,6 +133,12 @@ SWEEP_DIGESTS = {
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(TRACE_CASES))
+def test_generated_trace_bytes(case):
+    build, digest = TRACE_CASES[case]
+    assert _sha256(serialize_trace(build()).encode("ascii")) == digest
 
 
 @pytest.mark.parametrize("case", sorted(DETECT_CASES))

@@ -125,6 +125,16 @@ class TestRopGenerator:
         with pytest.raises(GenerationError):
             gen_rop(RopSpec(chain_length=0))
 
+    def test_gadget_running_past_32_bits_rejected(self):
+        # Seed 9730 draws a kernel base less than 4 * 39999 bytes below the
+        # top of the address space.
+        spec = RopSpec(chain_length=1, gadget_sizes=[40000], prologue=0,
+                       address_region=PrivilegeLevel.KERNEL, seed=9730)
+        with pytest.raises(GenerationError, match="0xffffffff"):
+            gen_rop(spec)
+        spec.gadget_sizes = [2]
+        assert max(ev.pc for ev in gen_rop(spec).events) > 0xFFFFFFFF - 4 * 39999
+
     def test_negative_prologue_and_offset_rejected(self):
         with pytest.raises(GenerationError):
             gen_rop(RopSpec(chain_length=4, alignment_offset=-3))

@@ -8,7 +8,8 @@ most `t_i * t_m` instructions.
 """
 
 from .detector import (DEFAULT_CAPACITY, ClosedBy, DetectionReport,
-                       DetectorConfig, IntervalRecord, RopDetected, run)
+                       DetectorConfig, IntervalRecord, Replay, RopDetected,
+                       replay, run)
 from .trace import (KERNEL_BASE, Call, ControlFlow, Plain, PrivilegeLevel,
                     Return, Switch, Trace, TraceEvent, TraceParseError,
                     classify_address, control_flow, load_trace, parse_trace,
@@ -25,7 +26,7 @@ __all__ = [
     "TraceEvent", "TraceParseError", "classify_address", "parse_trace",
     "serialize_trace", "load_trace", "ControlFlow", "control_flow",
     "scan_trace", "DetectorConfig", "DetectionReport",
-    "RopDetected", "IntervalRecord", "ClosedBy", "run",
+    "RopDetected", "IntervalRecord", "ClosedBy", "run", "Replay", "replay",
     "BenignSpec", "RopSpec", "InterleaveSpec", "GenerationError",
     "gen_benign", "gen_rop", "interleave", "replay_mispredictions",
     "mispredict_runs",

@@ -10,14 +10,15 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
 from .detector import DEFAULT_CAPACITY, DetectorConfig, run
 from .harness import (ROW_FIELDS, SUMMARY_FIELDS, SweepSpec, SweepSpecError,
                       _is_int, run_sweep, scatter_point, write_csv)
-from .trace import (PrivilegeLevel, TraceParseError, load_trace, parse_trace,
-                    serialize_trace)
+from .trace import (_PID, PrivilegeLevel, TraceParseError, load_trace,
+                    parse_trace, serialize_trace)
 from .workload import (BenignSpec, GAP_PROFILES, GenerationError,
                        InterleaveSpec, RopSpec, gen_benign, gen_rop,
                        interleave)
@@ -165,8 +166,9 @@ def cmd_interleave(args) -> int:
     if not isinstance(doc, dict) or "parts" not in doc or "schedule" not in doc:
         return _fail("spec must contain 'parts' and 'schedule'")
     if (not isinstance(doc["parts"], dict)
-            or not all(isinstance(path, str) for path in doc["parts"].values())):
-        return _fail("spec 'parts' must be an object mapping pids to trace paths")
+            or not all(isinstance(path, str) for path in doc["parts"].values())
+            or not all(re.fullmatch(_PID, pid) for pid in doc["parts"])):
+        return _fail("spec 'parts' must map pids (decimal, no sign or leading zero) to paths")
     if (not isinstance(doc["schedule"], list)
             or not all(isinstance(item, list) and len(item) == 2
                        and all(map(_is_int, item)) for item in doc["schedule"])):

@@ -32,8 +32,12 @@ has exactly these semantics.
 
 A plain instruction only adds one to the instruction count, so `run`
 takes a `ControlFlow`: one item per call, return or switch, carrying the
-plain run before it.  `run` only reads it, so a caller builds it once
-per trace (see `trace`) and runs it under any number of configurations.
+plain run before it (see `trace`).  One loop replays the predictor and
+marks each mispredicted return, switch and the end with the counts since
+the mark before; `run` closes intervals on the marks.  A flagged process
+no longer touches the predictor, so after a verdict the other processes'
+marks depend on `t_m`/`t_i`.  A switch-free flow has no other process:
+`replay` stores its marks once, and `run` counts them for any cell.
 
 All options are `DetectorConfig` fields: `table_enabled=False` disables
 the table (partial intervals are discarded at every switch), a
@@ -49,7 +53,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 
-from .trace import (CALL, RETURN, SWITCH, ControlFlow, PrivilegeLevel,
+from .trace import (CALL, END, RETURN, SWITCH, ControlFlow, PrivilegeLevel,
                     classify_address)
 
 SATURATE_AT = 0xFF  # one byte per stored event count
@@ -138,17 +142,72 @@ class DetectionReport:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def run(flow: ControlFlow, cfg: DetectorConfig | None = None) -> DetectionReport:
-    """Run one detection pass over `flow`; deterministic in its arguments."""
+def _marks(flow: ControlFlow, ras_capacity: int, flush_ras_on_switch: bool,
+           stopped: set[int]):
+    """Yield `(RETURN, n_i, n_r, pc)` at each mispredicted return,
+    `(SWITCH, n_i, n_r, next_pid)` at each switch and `(END, n_i, n_r, 0)`,
+    with the counts since the previous mark.  A pid the caller adds to
+    `stopped` counts nothing and leaves the predictor alone from then on."""
+    ras: deque[int] = deque(maxlen=ras_capacity)
+    push, pop = ras.append, ras.pop
+    cur = flow.initial_process
+    live = cur not in stopped
+    n_i = n_r = 0
+    for plains, kind, a, b in flow.items:
+        if live:
+            n_i += plains
+            if kind == RETURN:
+                # Counted, then predicted.
+                n_i += 1
+                n_r += 1
+                if not ras or pop() != b:
+                    yield RETURN, n_i, n_r, a
+                    n_i = n_r = 0
+                    live = cur not in stopped
+            elif kind == CALL:
+                n_i += 1
+                push(b)
+        if kind == SWITCH:
+            yield SWITCH, n_i, n_r, a
+            n_i = n_r = 0
+            if flush_ras_on_switch:
+                ras.clear()
+            cur = a
+            live = cur not in stopped
+    yield END, n_i, n_r, 0
+
+
+@dataclass(frozen=True)
+class Replay:
+    """The marks of a switch-free flow at one predictor depth; see `replay`."""
+    initial_process: int
+    ras_capacity: int
+    marks: list[tuple[int, int, int, int]]
+
+
+def replay(flow: ControlFlow, ras_capacity: int) -> Replay:
+    """The predictor replayed over `flow` once, for `run` under any `t_m`/`t_i`.
+    A flow with a switch is a `ValueError`: its marks depend on them."""
+    marks = list(_marks(flow, ras_capacity, False, set()))
+    if any(mark[0] == SWITCH for mark in marks):
+        raise ValueError("a replay needs a flow without context switches")
+    return Replay(flow.initial_process, ras_capacity, marks)
+
+
+def run(flow: ControlFlow | Replay, cfg: DetectorConfig | None = None) -> DetectionReport:
+    """Run one detection pass over `flow`; deterministic in its arguments.
+    A `Replay` made at another `ras_capacity` than `cfg`'s is a `ValueError`."""
     cfg = cfg if cfg is not None else DetectorConfig()
     t_m = cfg.t_m
     limit = cfg.t_i * t_m
-    ras: deque[int] = deque(maxlen=cfg.ras_capacity)
-    push = ras.append
-    pop = ras.pop
+    stopped: set[int] = set()
+    detached = isinstance(flow, Replay)
+    if detached and flow.ras_capacity != cfg.ras_capacity:
+        raise ValueError(f"replay at ras_capacity {flow.ras_capacity}, run at {cfg.ras_capacity}")
+    marks = (flow.marks if detached
+             else _marks(flow, cfg.ras_capacity, cfg.flush_ras_on_switch, stopped))
 
     table: dict[int, tuple[int, int, int]] = {}  # pid -> parked (n_i, n_r, n_m)
-    stopped: set[int] = set()
     verdicts: list[RopDetected] = []
     intervals: list[IntervalRecord] = []
     record_counts: dict[int, int] = {}
@@ -161,34 +220,27 @@ def run(flow: ControlFlow, cfg: DetectorConfig | None = None) -> DetectionReport
 
     # Live counts of the current interval; `parked` when they were restored
     # from the table, so they close clamped as a stored entry would read.
-    # A stopped process neither counts nor touches the predictor.
     cur = flow.initial_process
     n_i = n_r = n_m = 0
-    parked, counting = False, True
-    for plains, kind, a, b in flow.items:
-        if counting:
-            n_i += plains
-            if kind == RETURN:
-                # Counted, then predicted; a miss may close the interval.
-                n_i += 1
-                n_r += 1
-                if not ras or pop() != b:
-                    n_m += 1
-                    if n_m == t_m:
-                        if parked:
-                            n_i, n_r = min(SATURATE_AT, n_i), min(SATURATE_AT, n_r)
-                            parked = False
-                        index = emit(cur, n_i, n_r, n_m, ClosedBy.OVERFLOW)
-                        if n_r == t_m and n_i <= limit:  # the ROP signature
-                            verdicts.append(RopDetected(
-                                cur, classify_address(a), index, n_i, n_r, a))
-                            stopped.add(cur)
-                            counting = False
-                        n_i = n_r = n_m = 0
-            elif kind == CALL:
-                n_i += 1
-                push(b)
-        if kind == SWITCH:
+    parked = False
+    for kind, d_i, d_r, a in marks:
+        n_i += d_i
+        n_r += d_r
+        if kind == RETURN:  # a miss, which may close the interval
+            n_m += 1
+            if n_m == t_m:
+                if parked:
+                    n_i, n_r = min(SATURATE_AT, n_i), min(SATURATE_AT, n_r)
+                    parked = False
+                index = emit(cur, n_i, n_r, n_m, ClosedBy.OVERFLOW)
+                if n_r == t_m and n_i <= limit:  # the ROP signature
+                    verdicts.append(RopDetected(
+                        cur, classify_address(a), index, n_i, n_r, a))
+                    if detached:  # switch-free: nothing after this verdict counts
+                        return DetectionReport(verdicts, intervals)
+                    stopped.add(cur)
+                n_i = n_r = n_m = 0
+        elif kind == SWITCH:
             # A stopped process counts nothing, so live counts imply a monitored one.
             if n_i or n_r or n_m:
                 if cfg.table_enabled:
@@ -196,10 +248,7 @@ def run(flow: ControlFlow, cfg: DetectorConfig | None = None) -> DetectionReport
                 else:
                     # Vulnerable baseline: the partial interval is discarded wholesale.
                     emit(cur, n_i, n_r, n_m, ClosedBy.SWITCH)
-            if cfg.flush_ras_on_switch:
-                ras.clear()
             cur = a
-            counting = cur not in stopped
             parked = cur in table
             n_i, n_r, n_m = table.pop(cur) if parked else (0, 0, 0)
 

@@ -17,7 +17,7 @@ from itertools import product
 from typing import IO
 
 from .detector import (DEFAULT_CAPACITY, ClosedBy, DetectionReport,
-                       DetectorConfig, run)
+                       DetectorConfig, replay, run)
 from .trace import PrivilegeLevel, Trace, control_flow
 from .workload import BenignSpec, GAP_PROFILES, RopSpec, gen_benign, gen_rop
 
@@ -126,12 +126,12 @@ SUMMARY_FIELDS = ["kind", "t_m", "t_i", "g", "traces", "flagged",
 
 
 def _trace_rows(spec: SweepSpec, trace: Trace, base: dict) -> list[dict]:
-    flow = control_flow(trace)  # built once, read by every cell's run
+    replayed = replay(control_flow(trace), spec.ras_capacity)  # switch-free: one for all cells
     rows = []
     for t_m in spec.t_m_values:
         for t_i in spec.t_i_values:
             cfg = DetectorConfig(t_m=t_m, t_i=t_i, ras_capacity=spec.ras_capacity)
-            report = run(flow, cfg)
+            report = run(replayed, cfg)
             min_n_r, paired_n_i = scatter_point(report)
             overflow = sum(1 for r in report.intervals
                            if r.closed_by is ClosedBy.OVERFLOW)

@@ -206,10 +206,17 @@ class TestInterleaveCommand:
         assert out == ""
 
     def test_parts_must_map_pids_to_paths(self, tmp_path, capsys):
+        # Keys are pids as the trace format writes them: each of the last
+        # four reads as pid 10 under int(), whose 9 events the schedule runs.
+        write_trace(Trace(1, [Plain(4 * i) for i in range(9)]),
+                    tmp_path / "a.trace")
+        path = str(tmp_path / "a.trace")
         spec_path = tmp_path / "weave.json"
         for spec in ({"parts": [1], "schedule": []},
                      {"parts": "a.trace", "schedule": []},
-                     {"parts": {"1": 0}, "schedule": [[1, 1]]}):
+                     {"parts": {"1": 0}, "schedule": [[1, 1]]},
+                     *({"parts": {key: path}, "schedule": [[10, 9]]}
+                       for key in ("1_0", " 10 ", "+10", "\uff11\uff10"))):
             spec_path.write_text(json.dumps(spec))
             code, _, err = run_cli(["interleave", str(spec_path)], capsys)
             assert code == 1, spec

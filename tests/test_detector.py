@@ -5,7 +5,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from ropsim.detector import ClosedBy, DetectorConfig, run
+from ropsim.detector import ClosedBy, DetectorConfig, replay, run
 from ropsim.trace import (Call, Plain, PrivilegeLevel, Return, Switch, Trace,
                           control_flow, scan_trace, serialize_trace)
 from ropsim.workload import (BenignSpec, InterleaveSpec, RopSpec, gen_benign,
@@ -348,6 +348,19 @@ class TestConfig:
         assert any(r.n_m for r in flushed.intervals)
 
 
+class TestReplay:
+    def test_flow_with_a_switch_is_refused(self):
+        flow = control_flow(Trace(1, [Plain(0), Switch(2), Return(4, 8)]))
+        with pytest.raises(ValueError):
+            replay(flow, 16)
+
+    def test_runs_only_at_the_capacity_it_was_made_at(self):
+        marks = replay(control_flow(rop_trace()), 16)
+        with pytest.raises(ValueError):
+            run(marks, DetectorConfig(ras_capacity=8))
+        assert not run(marks, DetectorConfig(ras_capacity=16)).clean
+
+
 class TestReportSerialization:
     def test_jsonl_records_and_fields(self):
         report = run(control_flow(rop_trace()))
@@ -398,7 +411,7 @@ def _gadgets(sizes):
     return events
 
 
-class TestCounterBank:
+class TestEventCounts:
     def test_overflow_fires_exactly_at_threshold(self):
         five = run(control_flow(Trace(1, _bare_returns(5))))
         assert not _overflow(five)
@@ -408,7 +421,7 @@ class TestCounterBank:
         assert [r.n_m for r in _overflow(six)] == [6]
         assert six.verdicts[0].trigger_pc == events[-1].pc
 
-    def test_no_resignal_before_reset(self):
+    def test_one_interval_per_t_m_misses(self):
         # 10 mispredictions at t_m=3, each after 20 plains so no interval
         # passes: one signal per 3 misses, the last one left open.
         flow = control_flow(Trace(1, _bare_returns(10, plains=20)))
@@ -417,7 +430,7 @@ class TestCounterBank:
         assert report.intervals[-1].closed_by is ClosedBy.END_OF_TRACE
         assert report.intervals[-1].n_m == 1
 
-    def test_counting_mode_never_signals(self):
+    def test_predicted_returns_close_no_interval(self):
         events = [Plain(4 * i) for i in range(1000)]
         for i in range(100):
             events += [Call(0x8000 + 8 * i, 0x20000, 0x8004 + 8 * i),
@@ -427,14 +440,14 @@ class TestCounterBank:
         rec = report.intervals[-1]
         assert (rec.n_i, rec.n_r, rec.n_m) == (1200, 100, 0)
 
-    def test_reset_zeroes_and_rearms(self):
+    def test_each_interval_counts_from_zero(self):
         # Three failing intervals of identical shape: each record holds its
         # own counts only, and a fresh interval needs all t_m misses again.
         report = run(control_flow(Trace(1, _gadgets([8] * 20))))
         assert [(r.n_i, r.n_r, r.n_m) for r in _overflow(report)] == [(48, 6, 6)] * 3
         assert (report.intervals[-1].n_i, report.intervals[-1].n_m) == (16, 2)
 
-    def test_residual_threshold(self):
+    def test_misses_parked_over_two_switches_close_one_interval(self):
         # 2 + 2 misses parked over two switches and restored each time: the
         # last 2 misses complete the interval of 6.
         events = _bare_returns(2, plains=20)
@@ -445,7 +458,7 @@ class TestCounterBank:
         report = run(control_flow(Trace(1, events)))
         assert [(r.pid, r.n_m, r.n_r) for r in _overflow(report)] == [(1, 6, 6)]
 
-    def test_read_is_side_effect_free(self):
+    def test_idle_switches_leave_the_interval_unchanged(self):
         # Reading the counts at a switch does not change them: switching a
         # process out and back with nothing run in between leaves its
         # interval as it was.
@@ -459,15 +472,10 @@ class TestCounterBank:
                 == [(6, 6, 6)])
         assert switched.verdicts == plain.verdicts
 
-    def test_six_four_instruction_gadgets_read_24_6_6(self):
+    def test_six_four_instruction_gadgets_close_at_24_6_6(self):
         report = run(control_flow(Trace(1, _gadgets([4] * 6))))
         assert [(r.n_i, r.n_r, r.n_m) for r in _overflow(report)] == [(24, 6, 6)]
         assert not report.clean
-
-    def test_zero_threshold_rejected(self):
-        # An interval closes at t_m misses, so t_m must be at least 1.
-        with pytest.raises(ValueError):
-            DetectorConfig(t_m=0)
 
     def test_counts_are_monotone_within_cycle(self):
         # A return is an instruction and a misprediction is a return.
@@ -475,9 +483,7 @@ class TestCounterBank:
             for rec in run(control_flow(chaos_trace(random.Random(seed)))).intervals:
                 assert rec.n_m <= rec.n_r <= rec.n_i
 
-
-class TestCounter:
-    def test_standalone_sampling(self):
+    def test_every_miss_closes_an_interval_at_t_m_1(self):
         # t_m=1: every mispredicted return closes its own interval, and a
         # correctly predicted one closes none.
         events = _bare_returns(3, plains=10)
@@ -486,10 +492,17 @@ class TestCounter:
         assert [(r.n_r, r.n_m) for r in _overflow(report)] == [(1, 1)] * 3
         assert (report.intervals[-1].n_r, report.intervals[-1].n_m) == (1, 0)
 
-    def test_counting_mode(self):
+    def test_live_counts_exceed_one_byte(self):
         # Live counts are not one byte: only parked counts saturate.
         report = run(control_flow(Trace(1, [Plain(4 * i) for i in range(300)])))
         assert report.intervals[-1].n_i == 300
+
+
+class TestCounterBank:
+    def test_zero_threshold_rejected(self):
+        # An interval closes at t_m misses, so t_m must be at least 1.
+        with pytest.raises(ValueError):
+            DetectorConfig(t_m=0)
 
 
 # -- agreement with the oracle over the configurations the API accepts ---------
@@ -533,6 +546,28 @@ class TestOracleAgreement:
         t_i = data.draw(st.integers(1, 254 // t_m))
         trace, _ = split_attack_trace(seed, t_m)
         _assert_agrees(trace, t_m, t_i, capacity, flush, table)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              phases=_NO_SHRINK)
+    @given(seed=st.integers(0, 2**32 - 1),
+           t_ms=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+           t_is=st.lists(st.integers(1, 21), min_size=1, max_size=3),
+           capacity=st.integers(1, 32), flush=st.booleans(), table=st.booleans())
+    def test_replay_of_switch_free_chaos_traces(self, seed, t_ms, t_is, capacity,
+                                                flush, table):
+        # One replay per trace, counted for every cell of the grid
+        # (t_i <= 21 keeps t_i * t_m below 255 for t_m <= 12).
+        trace = chaos_trace(random.Random(seed))
+        trace = Trace(trace.initial_process,
+                      [ev for ev in trace.events if not isinstance(ev, Switch)])
+        marks = replay(control_flow(trace), capacity)
+        for t_m in t_ms:
+            for t_i in t_is:
+                cfg = DetectorConfig(t_m=t_m, t_i=t_i, table_enabled=table,
+                                     ras_capacity=capacity, flush_ras_on_switch=flush)
+                assert run(marks, cfg).to_jsonl() == reference_jsonl(
+                    trace, t_m, t_i, capacity, table_enabled=table,
+                    flush_ras_on_switch=flush)
 
     def test_split_attack_with_one_miss_per_interval(self):
         # At t_m = 1 this chain spans too few events for 5 quanta.

@@ -3,11 +3,11 @@ import io
 import pytest
 
 from ropsim import harness
-from ropsim.detector import run
+from ropsim.detector import Replay, run
 from ropsim.harness import (SUMMARY_FIELDS, SweepSpec, SweepSpecError,
                             derive_seed, run_sweep, scatter_point,
                             summarize_rows, write_csv)
-from ropsim.trace import ControlFlow, control_flow
+from ropsim.trace import control_flow
 from ropsim.workload import BenignSpec, RopSpec, gen_benign, gen_rop
 
 
@@ -138,7 +138,7 @@ class TestRunSweep:
         assert summary == summary2
 
     def test_each_trace_is_compiled_once(self, monkeypatch):
-        # Every (t_m, t_i) cell of a trace runs on the same ControlFlow.
+        # Every (t_m, t_i) cell of a trace runs on the same Replay.
         flows = []
 
         def spy(flow, cfg=None):
@@ -152,7 +152,7 @@ class TestRunSweep:
                                        "benign_bursts": 1, "seeds": [0]})
         rows, _ = run_sweep(spec)
         assert len(flows) == len(rows) == 4 * 4
-        assert all(isinstance(flow, ControlFlow) for flow in flows)
+        assert all(isinstance(flow, Replay) for flow in flows)
         assert len({id(flow) for flow in flows}) == 4  # traces
 
 

@@ -15,8 +15,7 @@ from .trace import (KERNEL_BASE, Call, ControlFlow, Plain, PrivilegeLevel,
                     classify_address, control_flow, load_trace, parse_trace,
                     scan_trace, serialize_trace)
 from .workload import (BenignSpec, GenerationError, InterleaveSpec, RopSpec,
-                       gen_benign, gen_rop, interleave, mispredict_runs,
-                       replay_mispredictions)
+                       gen_benign, gen_rop, interleave, replay_mispredictions)
 
 __version__ = "0.1.0"
 
@@ -29,5 +28,4 @@ __all__ = [
     "RopDetected", "IntervalRecord", "ClosedBy", "run", "Replay", "replay",
     "BenignSpec", "RopSpec", "InterleaveSpec", "GenerationError",
     "gen_benign", "gen_rop", "interleave", "replay_mispredictions",
-    "mispredict_runs",
 ]

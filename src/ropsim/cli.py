@@ -16,8 +16,8 @@ from pathlib import Path
 
 from .detector import DEFAULT_CAPACITY, DetectorConfig, run
 from .harness import (ROW_FIELDS, SUMMARY_FIELDS, SweepSpec, SweepSpecError,
-                      _is_int, run_sweep, scatter_point, write_csv)
-from .trace import (_PID, PrivilegeLevel, TraceParseError, load_trace,
+                      is_json_int, run_sweep, scatter_point, write_csv)
+from .trace import (PID_PATTERN, PrivilegeLevel, TraceParseError, load_trace,
                     parse_trace, serialize_trace)
 from .workload import (BenignSpec, GAP_PROFILES, GenerationError,
                        InterleaveSpec, RopSpec, gen_benign, gen_rop,
@@ -167,11 +167,11 @@ def cmd_interleave(args) -> int:
         return _fail("spec must contain 'parts' and 'schedule'")
     if (not isinstance(doc["parts"], dict)
             or not all(isinstance(path, str) for path in doc["parts"].values())
-            or not all(re.fullmatch(_PID, pid) for pid in doc["parts"])):
+            or not all(re.fullmatch(PID_PATTERN, pid) for pid in doc["parts"])):
         return _fail("spec 'parts' must map pids (decimal, no sign or leading zero) to paths")
     if (not isinstance(doc["schedule"], list)
             or not all(isinstance(item, list) and len(item) == 2
-                       and all(map(_is_int, item)) for item in doc["schedule"])):
+                       and all(map(is_json_int, item)) for item in doc["schedule"])):
         return _fail("spec 'schedule' must be a list of [pid, events] integer pairs")
     try:
         parts = [(int(pid), parse_trace(Path(path).read_bytes()))

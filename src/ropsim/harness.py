@@ -17,9 +17,11 @@ from itertools import product
 from typing import IO
 
 from .detector import (DEFAULT_CAPACITY, ClosedBy, DetectionReport,
-                       DetectorConfig, replay, run)
-from .trace import PrivilegeLevel, Trace, control_flow
-from .workload import BenignSpec, GAP_PROFILES, RopSpec, gen_benign, gen_rop
+                       DetectorConfig, Replay, replay, run)
+from .trace import ControlFlow, PrivilegeLevel
+# `gen_benign` and `gen_rop` are not called here, but `bench/spans.py` wraps them.
+from .workload import (BenignSpec, GAP_PROFILES, RopSpec, benign_flow,  # noqa: F401
+                       gen_benign, gen_rop, rop_flow)
 
 _M64 = (1 << 64) - 1
 
@@ -48,8 +50,8 @@ class SweepSpecError(ValueError):
     """A sweep spec document that cannot be used."""
 
 
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, a subclass of int.
+def is_json_int(value) -> bool:
+    """An int loaded from JSON; true and false load as bool, a subclass of int."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
@@ -89,12 +91,12 @@ class SweepSpec:
             if name in data:
                 value = data[name]
                 if (not isinstance(value, list) or not value
-                        or not all(_is_int(v) for v in value)):
+                        or not all(is_json_int(v) for v in value)):
                     raise SweepSpecError(f"{name} must be a non-empty list of ints")
                 kwargs[name] = value
         for name in cls._INTS:
             if name in data:
-                if not _is_int(data[name]):
+                if not is_json_int(data[name]):
                     raise SweepSpecError(f"{name} must be an int")
                 kwargs[name] = data[name]
         spec = cls(**kwargs)
@@ -125,8 +127,12 @@ SUMMARY_FIELDS = ["kind", "t_m", "t_i", "g", "traces", "flagged",
                   "fp_rate", "fn_rate"]
 
 
-def _trace_rows(spec: SweepSpec, trace: Trace, base: dict) -> list[dict]:
-    replayed = replay(control_flow(trace), spec.ras_capacity)  # switch-free: one for all cells
+def _trace_rows(spec: SweepSpec, flow: ControlFlow, replayed: Replay,
+                base: dict) -> list[dict]:
+    # The generator's own replay serves every cell (a generated flow has no
+    # switches) unless it ran at another depth: `gen_rop` checks at the default.
+    if replayed.ras_capacity != spec.ras_capacity:
+        replayed = replay(flow, spec.ras_capacity)
     rows = []
     for t_m in spec.t_m_values:
         for t_i in spec.t_i_values:
@@ -156,11 +162,11 @@ def run_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
                 gap_profile=GAP_PROFILES[benign_id % len(GAP_PROFILES)],
                 seed=derive_seed(seed, 1, benign_id),
             )
-            trace = gen_benign(bspec)
+            flow, replayed = benign_flow(bspec)
             base = {"kind": "benign", "trace_id": f"benign-s{seed}-n{benign_id}",
                     "g": None, "alignment_offset": None,
                     "seed": seed, "benign_id": benign_id}
-            rows.extend(_trace_rows(spec, trace, base))
+            rows.extend(_trace_rows(spec, flow, replayed, base))
         for g in spec.g_values:
             for offset in spec.alignment_offsets:
                 for rep in range(spec.rop_reps):
@@ -174,12 +180,12 @@ def run_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
                                     alignment_offset=offset,
                                     address_region=PrivilegeLevel.USER,
                                     seed=rop_seed)
-                    trace = gen_rop(rspec)
+                    flow, replayed = rop_flow(rspec)
                     base = {"kind": "rop",
                             "trace_id": f"rop-g{g}-o{offset}-s{seed}-r{rep}",
                             "g": g, "alignment_offset": offset,
                             "seed": seed, "benign_id": None}
-                    rows.extend(_trace_rows(spec, trace, base))
+                    rows.extend(_trace_rows(spec, flow, replayed, base))
 
     rows.sort(key=lambda r: (r["kind"], r["t_m"], r["t_i"], r["g"] or 0,
                              r["alignment_offset"] or 0, r["seed"],

@@ -109,9 +109,10 @@ def classify_address(addr: int) -> PrivilegeLevel:
 
 
 _ADDR = "[0-9a-f]{8}"
-_PID = "0|[1-9][0-9]*+"
+# A pid field, also as `ropsim interleave` spec keys: decimal, no sign or leading zero.
+PID_PATTERN = "0|[1-9][0-9]*+"
 _FIELDS = {"I": (_ADDR,), "C": (_ADDR,) * 3, "R": (_ADDR,) * 2,
-           "X": (_PID,), "P": (_PID,)}
+           "X": (PID_PATTERN,), "P": (PID_PATTERN,)}
 # One record per line; `lastindex` of a match names the record:
 # 1 plain, 4 call, 6 return, 7 switch, 8 header.
 _RECORD = re.compile("|".join(" ".join([tag, *map("({})".format, fields)])
@@ -127,7 +128,7 @@ def _bad_record(lineno: int, line: str) -> TraceParseError:
     tag = line.split(" ", 1)[0]
     if tag not in _FIELDS:
         return TraceParseError(lineno, f"unknown event tag {tag!r}")
-    form = " ".join([tag, *("<pid>" if f is _PID else "<addr>" for f in _FIELDS[tag])])
+    form = " ".join([tag, *("<pid>" if f is PID_PATTERN else "<addr>" for f in _FIELDS[tag])])
     return TraceParseError(
         lineno, f"bad record {line!r}: expected '{form}' (addr: 8 "
         "lowercase hex digits; pid: decimal, no sign or leading zero)")

@@ -1,10 +1,14 @@
 """Seeded generators for benign traces, ROP payload traces, and interleavings.
 
 Every generator is a pure function of its spec: the same seed yields the
-same trace bytes.  Each generator replays its output through the
-return-address-stack model before returning and asserts the misprediction
-structure it promised (burst run lengths, chain length), so a generator
-bug cannot silently skew detection results.
+same trace bytes.  `gen_benign` and `gen_rop` emit a `ControlFlow`, not
+events: a plain run only moves the pc cursor and is counted on the call or
+return after it.  Each checks the misprediction structure it promised
+(burst run lengths, chain length) on the marks of `detector.replay` over
+that flow, so a generator bug cannot silently skew detection results.
+The `Trace` they return is built from the checked flow afterwards;
+`benign_flow` and `rop_flow` return the flow and its replay instead, which
+is all a sweep needs.
 
 Benign traces mix matched call/return activity with recursion bursts that
 overflow the stack and unwind into short runs of mispredicted returns.
@@ -28,13 +32,12 @@ safely to larger intervals.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
-from itertools import groupby
 
-from .detector import DEFAULT_CAPACITY
-from .trace import (KERNEL_BASE, Call, Plain, PrivilegeLevel, Return, Switch,
-                    Trace, TraceEvent)
+from .detector import DEFAULT_CAPACITY, Replay, _marks, replay
+from .trace import (CALL, END, KERNEL_BASE, RETURN, Call, ControlFlow, Plain,
+                    PrivilegeLevel, Return, Switch, Trace, TraceEvent,
+                    control_flow)
 
 USER_CODE_LO = 0x08048000
 USER_CODE_HI = 0xB0000000
@@ -82,64 +85,81 @@ class InterleaveSpec:
 # -- replay helpers -----------------------------------------------------------
 
 def replay_mispredictions(trace: Trace, ras_capacity: int) -> list[bool]:
-    """Outcome (True = mispredicted) of each Return event, in trace order."""
+    """Outcome (True = mispredicted) of each Return event, in trace order.
+    The predictor keeps its entries across Switch events."""
     if ras_capacity < 1:
         # deque(maxlen=0) would silently mispredict every return.
         raise ValueError("ras_capacity must be >= 1")
-    ras: deque[int] = deque(maxlen=ras_capacity)
-    push = ras.append
-    pop = ras.pop
     out: list[bool] = []
-    for ev in trace.events:
-        cls = ev.__class__
-        if cls is Call:
-            push(ev.return_addr)
-        elif cls is Return:
-            out.append(not ras or pop() != ev.actual_target)
+    for kind, _, n_r, _ in _marks(control_flow(trace), ras_capacity, False, set()):
+        out += [False] * n_r  # the returns since the mark before;
+        if kind == RETURN:    # a miss mark's last one is the miss
+            out[-1] = True
     return out
 
 
-def mispredict_runs(flags: list[bool]) -> list[int]:
-    """Lengths of maximal runs of consecutive mispredicted returns."""
-    return [len(list(group)) for missed, group in groupby(flags) if missed]
+def _miss_runs(replayed: Replay) -> list[int]:
+    """Lengths of the runs of consecutive mispredicted returns: a miss whose
+    mark counts one return directly follows the miss before it."""
+    runs: list[int] = []
+    for _, _, n_r, _ in replayed.marks[:-1]:  # misses, then END
+        if runs and n_r == 1:
+            runs[-1] += 1
+        else:
+            runs.append(1)
+    return runs
 
 
-# -- event emission -----------------------------------------------------------
+# -- control-flow emission ----------------------------------------------------
 
 class _Emitter:
-    """Builds an event stream with a pc cursor and a software call stack."""
+    """Builds a `ControlFlow` with a pc cursor and a software call stack.
+
+    A plain run only moves the cursor; its length is counted on the item
+    after it.  Items do not carry call targets, so those go in `targets`,
+    and `jump` records the one cursor move that is not a call or return.
+    `trace` rebuilds the events from these."""
 
     def __init__(self, rng: random.Random):
         self.rng = rng
-        self.events: list[TraceEvent] = []
+        self.items: list[tuple[int, int, int, int]] = []
+        self.targets: list[int] = []
+        self.jump: tuple[int, int, int] | None = None  # (item, plains before it, pc)
         self.pc = USER_CODE_LO
+        self.run = 0    # plains since the last item
+        self.count = 0  # instructions emitted
         self.shadow: list[int] = []
 
     def plains(self, n: int) -> None:
-        if n <= 0:
-            return
-        pc = self.pc
-        append = self.events.append
-        for _ in range(n):
-            append(Plain(pc))
-            pc += 4
-        self.pc = pc
+        if n > 0:
+            self.pc += 4 * n
+            self.run += n
+            self.count += n
 
     def call(self) -> None:
         pc = self.pc
         return_addr = pc + 4
         target = self.rng.randrange(USER_CODE_LO, USER_CODE_HI, 16)
-        self.events.append(Call(pc, target, return_addr))
+        self.items.append((self.run, CALL, pc, return_addr))
+        self.targets.append(target)
         self.shadow.append(return_addr)
         self.pc = target
+        self.run = 0
+        self.count += 1
 
     def ret_matched(self) -> None:
         self.ret_to(self.shadow.pop())
 
     def ret_to(self, target: int) -> None:
         """A return that ignores the software stack (corrupted/absent frame)."""
-        self.events.append(Return(self.pc, target))
+        self.items.append((self.run, RETURN, self.pc, target))
         self.pc = target
+        self.run = 0
+        self.count += 1
+
+    def jump_to(self, pc: int) -> None:
+        self.jump = (len(self.items), self.run, pc)
+        self.pc = pc
 
     def nest(self, depth: int, _frame: tuple[int, int] = (0, 3),
              _unwind: tuple[int, int] = (0, 3)) -> None:
@@ -155,6 +175,37 @@ class _Emitter:
         for _ in range(depth):
             self.plains(randint(unwind_lo, unwind_hi))
             self.ret_matched()
+
+    def close(self) -> None:
+        """End the flow: `flow` holds the items, then END."""
+        self.items.append((self.run, END, 0, 0))
+        self.flow = ControlFlow(1, self.items)
+
+    def trace(self) -> Trace:
+        """The events of the closed flow."""
+        events: list[TraceEvent] = []
+        append = events.append
+
+        def plains(pc: int, n: int) -> None:
+            if n > 0:  # the first shares the cursor's int: one object fewer per run
+                append(Plain(pc))
+                events.extend(map(Plain, range(pc + 4, pc + 4 * n, 4)))
+
+        next_target = iter(self.targets).__next__
+        jump_at, jump_after, jump_pc = self.jump or (-1, 0, 0)
+        pc = USER_CODE_LO
+        for i, (n, kind, a, b) in enumerate(self.items):
+            if i == jump_at:
+                plains(pc, jump_after)
+                pc, n = jump_pc, n - jump_after
+            plains(pc, n)
+            if kind == CALL:
+                pc = next_target()
+                append(Call(a, pc, b))
+            elif kind == RETURN:
+                append(Return(a, b))
+                pc = b
+        return Trace(1, events)
 
 
 # -- benign traces ------------------------------------------------------------
@@ -180,6 +231,16 @@ def _burst_plan(spec: BenignSpec, rng: random.Random) -> list[tuple[int, int, in
 
 def gen_benign(spec: BenignSpec) -> Trace:
     """Single-process benign trace; deterministic in the spec seed."""
+    return _benign(spec)[0].trace()
+
+
+def benign_flow(spec: BenignSpec) -> tuple[ControlFlow, Replay]:
+    """`control_flow(gen_benign(spec))`, and its replay at `spec.ras_capacity`."""
+    em, replayed = _benign(spec)
+    return em.flow, replayed
+
+
+def _benign(spec: BenignSpec) -> tuple[_Emitter, Replay]:
     if spec.gap_profile not in GAP_PROFILES:
         raise GenerationError(f"unknown gap profile {spec.gap_profile!r}")
     if spec.total_instructions < 1:
@@ -208,14 +269,14 @@ def gen_benign(spec: BenignSpec) -> Trace:
     segment_target = usable // (len(plan) + 1) if plan else 0
 
     def fill(stop: int) -> None:
-        while len(em.events) < stop:
+        while em.count < stop:
             if rng.random() < 0.4:
                 em.nest(rng.randint(1, nest_cap))
             else:
                 em.plains(rng.randint(4, 40))
 
     for k, gap_lo, gap_hi in plan:
-        stop = len(em.events) + segment_target
+        stop = em.count + segment_target
         # A nest leads every filler segment so any interval spanning two
         # bursts picks up correctly predicted returns.
         em.nest(rng.randint(1, nest_cap))
@@ -224,24 +285,34 @@ def gen_benign(spec: BenignSpec) -> Trace:
         em.nest(spec.ras_capacity + k, _frame=(0, 1), _unwind=(gap_lo, gap_hi))
     # Exact tail fill: land on the requested instruction count.
     fill(total - 64)
-    em.plains(total - len(em.events))
+    em.plains(total - em.count)
+    em.close()
 
-    trace = Trace(1, em.events)
-    flags = replay_mispredictions(trace, spec.ras_capacity)
-    runs = mispredict_runs(flags)
+    replayed = replay(em.flow, spec.ras_capacity)
+    runs = sorted(_miss_runs(replayed))
     expected = sorted(k for k, _, _ in plan)
-    if sorted(runs) != expected:
+    if runs != expected:
         raise AssertionError(
-            f"benign generator produced runs {sorted(runs)}, planned {expected}")
-    if len(em.events) != total:
+            f"benign generator produced runs {runs}, planned {expected}")
+    if em.count != total:
         raise AssertionError("benign generator missed the instruction target")
-    return trace
+    return em, replayed
 
 
 # -- ROP payload traces -------------------------------------------------------
 
 def gen_rop(spec: RopSpec) -> Trace:
     """Benign prologue, alignment mispredictions, then the gadget chain."""
+    return _rop(spec)[0].trace()
+
+
+def rop_flow(spec: RopSpec) -> tuple[ControlFlow, Replay]:
+    """`control_flow(gen_rop(spec))`, and its replay at `DEFAULT_CAPACITY`."""
+    em, replayed = _rop(spec)
+    return em.flow, replayed
+
+
+def _rop(spec: RopSpec) -> tuple[_Emitter, Replay]:
     g = spec.chain_length
     if g < 1:
         raise GenerationError("chain_length must be >= 1")
@@ -259,7 +330,7 @@ def gen_rop(spec: RopSpec) -> Trace:
 
     em = _Emitter(rng)
     nest_cap = 6
-    while len(em.events) < spec.prologue:
+    while em.count < spec.prologue:
         if rng.random() < 0.5:
             em.nest(rng.randint(1, nest_cap))
         else:
@@ -275,23 +346,24 @@ def gen_rop(spec: RopSpec) -> Trace:
     kernel = spec.address_region is PrivilegeLevel.KERNEL
     lo, hi = (KERNEL_CODE_LO, KERNEL_CODE_HI) if kernel else (USER_CODE_LO, USER_CODE_HI)
     bases = [rng.randrange(lo, hi - 64, 16) for _ in range(g)]
+    # Each gadget returns to the next, so only the first is jumped to.
+    em.jump_to(bases[0])
     for i, size in enumerate(sizes):
         if bases[i] + 4 * (size - 1) > 0xFFFFFFFF:
             raise GenerationError(f"gadget {i} runs past address 0xffffffff")
-        em.pc = bases[i]
         em.plains(size - 1)
-        target = bases[i + 1] if i + 1 < g else rng.randrange(lo, hi - 64, 4)
-        em.ret_to(target)
+        em.ret_to(bases[i + 1] if i + 1 < g else rng.randrange(lo, hi - 64, 4))
+    em.close()
 
-    trace = Trace(1, em.events)
-    flags = replay_mispredictions(trace, DEFAULT_CAPACITY)
-    chain_and_offset = flags[len(flags) - g - spec.alignment_offset:]
-    prologue_flags = flags[:len(flags) - g - spec.alignment_offset]
-    if not all(chain_and_offset):
+    replayed = replay(em.flow, DEFAULT_CAPACITY)
+    runs = _miss_runs(replayed)
+    need = g + spec.alignment_offset
+    # The END mark counts the returns after the last miss; there must be none.
+    if replayed.marks[-1][2] or not runs or runs[-1] < need:
         raise AssertionError("chain or alignment returns were not all mispredicted")
-    if any(prologue_flags):
+    if runs != [need]:
         raise AssertionError("prologue unexpectedly mispredicted")
-    return trace
+    return em, replayed
 
 
 # -- interleavings ------------------------------------------------------------

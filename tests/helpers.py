@@ -1,6 +1,7 @@
 """Shared corpus builders for the test suite."""
 
 import random
+from itertools import groupby
 
 from ropsim.trace import Call, Plain, Return, Switch, Trace
 from ropsim.workload import (BenignSpec, InterleaveSpec, RopSpec, gen_benign,
@@ -30,6 +31,11 @@ def chaos_trace(rng: random.Random) -> Trace:
                 target = rng.randrange(0, 1 << 32, 4)
             events.append(Return(pc, target))
     return Trace(rng.choice(pids), events)
+
+
+def mispredict_runs(flags: list[bool]) -> list[int]:
+    """Lengths of maximal runs of consecutive mispredicted returns."""
+    return [len(list(group)) for missed, group in groupby(flags) if missed]
 
 
 def _cut_into(rng: random.Random, positions: list[int], pieces: int) -> list[int]:

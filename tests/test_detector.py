@@ -498,13 +498,6 @@ class TestEventCounts:
         assert report.intervals[-1].n_i == 300
 
 
-class TestCounterBank:
-    def test_zero_threshold_rejected(self):
-        # An interval closes at t_m misses, so t_m must be at least 1.
-        with pytest.raises(ValueError):
-            DetectorConfig(t_m=0)
-
-
 # -- agreement with the oracle over the configurations the API accepts ---------
 
 @st.composite

@@ -1,4 +1,6 @@
 import io
+import random
+from itertools import product
 
 import pytest
 
@@ -8,7 +10,10 @@ from ropsim.harness import (SUMMARY_FIELDS, SweepSpec, SweepSpecError,
                             derive_seed, run_sweep, scatter_point,
                             summarize_rows, write_csv)
 from ropsim.trace import control_flow
-from ropsim.workload import BenignSpec, RopSpec, gen_benign, gen_rop
+from ropsim.workload import (GAP_PROFILES, BenignSpec, RopSpec, gen_benign,
+                             gen_rop)
+
+from oracle import reference_intervals, reference_verdicts
 
 
 def test_derive_seed_is_stable_and_spreads():
@@ -154,6 +159,49 @@ class TestRunSweep:
         assert len(flows) == len(rows) == 4 * 4
         assert all(isinstance(flow, Replay) for flow in flows)
         assert len({id(flow) for flow in flows}) == 4  # traces
+
+
+def _sweep_traces(spec: SweepSpec):
+    """`(trace_id, trace)` of each trace `run_sweep` evaluates, rebuilt here."""
+    for seed in spec.seeds:
+        for benign_id in range(spec.benign_count):
+            yield f"benign-s{seed}-n{benign_id}", gen_benign(BenignSpec(
+                total_instructions=spec.benign_events,
+                ras_capacity=spec.ras_capacity,
+                max_benign_mispredict_chain=spec.max_benign_chain,
+                mispredict_burst_count=spec.benign_bursts,
+                gap_profile=GAP_PROFILES[benign_id % len(GAP_PROFILES)],
+                seed=derive_seed(seed, 1, benign_id)))
+        for g, offset, rep in product(spec.g_values, spec.alignment_offsets,
+                                      range(spec.rop_reps)):
+            rop_seed = derive_seed(seed, 2, g, offset, rep)
+            size_rng = random.Random(derive_seed(rop_seed, 3))
+            sizes = [size_rng.randint(spec.gadget_size_lo, spec.gadget_size_hi)
+                     for _ in range(g)]
+            yield f"rop-g{g}-o{offset}-s{seed}-r{rep}", gen_rop(RopSpec(
+                chain_length=g, gadget_sizes=sizes, prologue=spec.rop_prologue,
+                alignment_offset=offset, seed=rop_seed))
+
+
+@pytest.mark.parametrize("capacity", [8, 24])
+def test_sweep_at_another_ras_capacity_agrees_with_the_oracle(capacity):
+    spec = SweepSpec.from_mapping({"t_m_values": [4, 6], "t_i_values": [4, 6],
+                                   "g_values": [6, 12], "alignment_offsets": [0, 3],
+                                   "benign_count": 3, "benign_events": 8000,
+                                   "benign_bursts": 3, "seeds": [0],
+                                   "ras_capacity": capacity})
+    rows, _ = run_sweep(spec)
+    got = {(r["trace_id"], r["t_m"], r["t_i"]): (r["detected"], r["overflow_intervals"])
+           for r in rows}
+    want = {}
+    for trace_id, trace in _sweep_traces(spec):
+        for t_m, t_i in product(spec.t_m_values, spec.t_i_values):
+            overflow = sum(1 for rec in reference_intervals(trace, t_m, t_i, capacity)
+                           if rec[5] == "overflow")
+            detected = int(bool(reference_verdicts(trace, t_m, t_i, capacity)))
+            want[(trace_id, t_m, t_i)] = (detected, overflow)
+    assert len(want) == 7 * 4
+    assert got == want
 
 
 def test_write_csv_format():

@@ -1,16 +1,21 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ropsim.detector import run
+from ropsim import workload
+from ropsim.detector import DEFAULT_CAPACITY, replay, run
 from ropsim.trace import (KERNEL_BASE, Call, Plain, PrivilegeLevel, Return,
                           Switch, Trace, control_flow, parse_trace,
                           serialize_trace)
-from ropsim.workload import (BenignSpec, GenerationError, InterleaveSpec,
-                             RopSpec, gen_benign, gen_rop, interleave,
-                             mispredict_runs, replay_mispredictions)
+from ropsim.workload import (GAP_PROFILES, BenignSpec, GenerationError,
+                             InterleaveSpec, RopSpec, benign_flow, gen_benign,
+                             gen_rop, interleave, replay_mispredictions,
+                             rop_flow)
+
+from helpers import mispredict_runs
 
 
 def instruction_count(trace):
@@ -149,6 +154,65 @@ class TestRopGenerator:
         trace = gen_rop(RopSpec(chain_length=4, prologue=500, seed=2))
         # Prologue plus 4 small gadgets plus any alignment padding.
         assert instruction_count(trace) >= 500 + 4
+
+
+def pc_breaks(trace):
+    """Indices of the events whose pc does not follow from the event before."""
+    breaks, expected = [], workload.USER_CODE_LO
+    for i, ev in enumerate(trace.events):
+        if ev.pc != expected:
+            breaks.append(i)
+        cls = ev.__class__
+        expected = (ev.target if cls is Call else ev.actual_target if cls is Return
+                    else ev.pc + 4)
+    return breaks
+
+
+class TestFlowView:
+    """A generator's own flow and replay are those of the trace it returns,
+    whose pc moves only as its events direct, bar `gen_rop`'s jump to the chain."""
+
+    @pytest.mark.parametrize("profile", GAP_PROFILES)
+    def test_benign(self, profile):
+        for seed in range(4):
+            spec = BenignSpec(total_instructions=6000, mispredict_burst_count=3,
+                              gap_profile=profile, seed=seed)
+            flow, replayed = benign_flow(spec)
+            trace = gen_benign(spec)
+            assert control_flow(trace) == flow
+            assert replayed == replay(flow, spec.ras_capacity)
+            assert pc_breaks(trace) == []
+
+    def test_rop(self):
+        ended_on_plains = 0  # prologues whose plains precede the jump to the chain
+        for region, offset, seed in itertools.product(PrivilegeLevel, range(4), range(6)):
+            spec = RopSpec(chain_length=5, gadget_sizes=[2] * 5, prologue=60,
+                           alignment_offset=offset, address_region=region, seed=seed)
+            flow, replayed = rop_flow(spec)
+            trace = gen_rop(spec)
+            assert control_flow(trace) == flow
+            assert replayed == replay(flow, DEFAULT_CAPACITY)
+            assert pc_breaks(trace) == [len(trace.events) - 2 * 5]
+            ended_on_plains += offset == 0 and flow.items[-6][0] > 1
+        assert ended_on_plains
+
+
+class TestSelfCheck:
+    """The generators check their output on a replay; a wrong one raises."""
+
+    def test_benign_at_a_shallower_predictor(self, monkeypatch):
+        real = workload.replay
+        monkeypatch.setattr(workload, "replay",
+                            lambda flow, capacity: real(flow, capacity - 1))
+        with pytest.raises(AssertionError, match="planned"):
+            gen_benign(BenignSpec(total_instructions=5000, mispredict_burst_count=2,
+                                  seed=1))
+
+    def test_rop_whose_prologue_mispredicts(self, monkeypatch):
+        real = workload.replay
+        monkeypatch.setattr(workload, "replay", lambda flow, capacity: real(flow, 1))
+        with pytest.raises(AssertionError, match="prologue"):
+            gen_rop(RopSpec(chain_length=6, prologue=200, seed=1))
 
 
 class TestInterleave:

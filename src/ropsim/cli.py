@@ -190,16 +190,15 @@ def cmd_interleave(args) -> int:
 
 def cmd_detect(args) -> int:
     try:
-        trace = load_trace(args.trace)
+        cfg = _config_from(args)
+    except ValueError as exc:
+        return _fail(str(exc))
+    try:  # the trace is read and checked as `run` consumes it
+        report = run(load_trace(args.trace), cfg)
     except OSError as exc:
         return _fail(f"cannot read trace: {exc}")
     except TraceParseError as exc:
         return _fail(f"{args.trace}: {exc}")
-    try:
-        cfg = _config_from(args)
-    except ValueError as exc:
-        return _fail(str(exc))
-    report = run(trace, cfg)
     sys.stdout.write(report.to_jsonl())
     return EXIT_DETECTED if report.verdicts else EXIT_CLEAN
 
@@ -228,10 +227,9 @@ def cmd_scatter(args) -> int:
     rows = []
     for path, label in labeled:
         try:
-            trace = load_trace(path)
+            min_n_r, paired_n_i = scatter_point(run(load_trace(path), cfg))
         except (OSError, TraceParseError) as exc:
             return _fail(f"{path}: {exc}")
-        min_n_r, paired_n_i = scatter_point(run(trace, cfg))
         rows.append({"trace_id": path.stem, "label": label,
                      "min_n_r": min_n_r, "paired_n_i": paired_n_i})
     write_csv(rows, ["trace_id", "label", "min_n_r", "paired_n_i"], buf)

@@ -34,7 +34,8 @@ A plain instruction only adds one to the instruction count, so `run`
 takes a `ControlFlow`: one item per call, return or switch, carrying the
 plain run before it (see `trace`).  One loop replays the predictor and
 marks each mispredicted return, switch and the end with the counts since
-the mark before; `run` closes intervals on the marks.  A flagged process
+the mark before; `run` closes intervals on the marks as they come, so it
+reads a flow from `load_trace` while that is scanned.  A flagged process
 no longer touches the predictor, so after a verdict the other processes'
 marks depend on `t_m`/`t_i`.  A switch-free flow has no other process:
 `replay` stores its marks once, and `run` counts them for any cell.
@@ -153,6 +154,7 @@ def _marks(flow: ControlFlow, ras_capacity: int, flush_ras_on_switch: bool,
     cur = flow.initial_process
     live = cur not in stopped
     n_i = n_r = 0
+    kind = None
     for plains, kind, a, b in flow.items:
         if live:
             n_i += plains
@@ -174,6 +176,8 @@ def _marks(flow: ControlFlow, ras_capacity: int, flush_ras_on_switch: bool,
                 ras.clear()
             cur = a
             live = cur not in stopped
+    if kind != END:  # e.g. a second pass over a loaded flow's spent iterator
+        raise ValueError("control flow items end without an END item")
     yield END, n_i, n_r, 0
 
 

@@ -21,6 +21,7 @@ derives from a `Trace` and `scan_trace` reads from the text with numpy,
 one chunk of lines at a time: lines are found by their newlines and
 classed by their first byte, and the parser's field table gives the
 widths and offsets by which fixed-width records are checked as arrays.
+`load_trace` scans a file chunk by chunk as its flow's items are read, once.
 
 Event objects are plain mutable-slot containers but are treated as
 immutable values everywhere in this package.
@@ -29,9 +30,12 @@ immutable values everywhere in this package.
 from __future__ import annotations
 
 import enum
+import io
 import re
+from contextlib import suppress
 from dataclasses import dataclass, field
-from typing import Union
+from itertools import chain
+from typing import Iterable, Union
 
 # Split of the 32-bit virtual address space: everything at or
 # above this boundary is kernel memory.
@@ -83,10 +87,11 @@ CALL, RETURN, SWITCH, END = 3, 5, 6, 0
 class ControlFlow:
     """Items `(n, CALL, pc, return_addr)`, `(n, RETURN, pc, actual_target)`
     and `(n, SWITCH, next_pid, 0)`, in trace order, each after `n` plain
-    instructions, then `(n, END, 0, 0)` for the `n` after the last of them.
+    instructions, then `(n, END, 0, 0)` for the `n` after the last of them:
+    a list, or from `load_trace` an iterator that is read once.
     """
     initial_process: int
-    items: list[tuple[int, int, int, int]]
+    items: Iterable[tuple[int, int, int, int]]
 
 
 class TraceParseError(ValueError):
@@ -226,12 +231,24 @@ def control_flow(trace: Trace) -> ControlFlow:
 def scan_trace(data: bytes) -> ControlFlow:
     """`control_flow(parse_trace(data))`; on text that fails a check,
     `parse_trace` runs on it to raise the same `TraceParseError`."""
-    try:
-        return _scan(data)
-    except ValueError:
-        pass
-    parse_trace(data)
-    raise AssertionError("scan_trace rejected a trace that parse_trace accepts")
+    parts = _checked(lambda: io.BytesIO(data))
+    return ControlFlow(next(parts), list(chain.from_iterable(parts)))
+
+
+def load_trace(path) -> ControlFlow:
+    """`scan_trace` of a file, read as its one-pass `items` are consumed."""
+    parts = _checked(lambda: open(path, "rb"))
+    return ControlFlow(next(parts), chain.from_iterable(parts))
+
+
+def _checked(open_text):
+    """`_scan`, or where the text fails a check, `parse_trace`'s error."""
+    with suppress(ValueError), open_text() as fh:
+        yield from _scan(fh)
+        return
+    with open_text() as fh:
+        parse_trace(fh.read())
+    raise AssertionError("the scanner rejected a trace that parse_trace accepts")
 
 
 def _require(ok) -> None:
@@ -239,12 +256,12 @@ def _require(ok) -> None:
         raise ValueError("not a canonical trace")
 
 
-def _scan(data: bytes) -> ControlFlow:
+def _scan(fh):
+    """Yield the header's pid, then the items of each chunk, then END's.  A chunk
+    is the next `SCAN_CHUNK` bytes up to their last newline, or else one line."""
     import numpy as np
-    text = np.frombuffer(data, np.uint8)
-    # The 8 bytes at each offset, so that one gather reads one address.
-    words = np.ndarray((max(len(text) - 7, 0),), np.uint64, data, 0, (1,))
-    kind_of = np.zeros(256, np.int8)
+    kind_of = np.full(256, -1, np.int8)    # -1: not a record's first byte
+    kind_of[list(b"\n#" + "".join(_FIELDS).encode())] = 0
     kind_of[list(b"CRX")] = CALL, RETURN, SWITCH
 
     def pid(line: int) -> int:     # of a switch or header line of the current chunk
@@ -252,28 +269,35 @@ def _scan(data: bytes) -> ControlFlow:
         _require(m)
         return int(m[m.lastindex])  # a ValueError if it has too many digits
 
-    initial, items = None, []
-    start = plains = mark = 0   # `mark`: the plain lines up to the last item
-    while start < len(text):
-        end = start + SCAN_CHUNK    # cut after the chunk's last newline, or the next one
-        end = data.rfind(b"\n", start, end) + 1 or data.find(b"\n", end) + 1 or len(text)
-        chunk = text[start:end]
-        _require(chunk.max() < 0x80)
-        ends = start + np.flatnonzero(chunk == 10)
-        if chunk[-1] != 10:     # the last line of a file without a final newline
-            ends = np.append(ends, end)
-        starts = np.append(start, ends[:-1] + 1)
+    initial = None
+    plains = mark = 0   # `mark`: the plain lines up to the last item
+    rest = b""          # a partial line, carried into the next read
+    while data := rest + fh.read(SCAN_CHUNK - len(rest)):
+        if b"\n" not in data:   # a line longer than a read
+            data += fh.readline()
+        cut = data.rfind(b"\n") + 1 or len(data)
+        data, rest = data[:cut], data[cut:]
+        text = np.frombuffer(data, np.uint8)
+        # The 8 bytes at each offset, so that one gather reads one address.
+        words = np.ndarray((max(len(text) - 7, 0),), np.uint64, data, 0, (1,))
+        _require(text.max() < 0x80)
+        ends = np.flatnonzero(text == 10)
+        if text[-1] != 10:      # the last line of a file without a final newline
+            ends = np.append(ends, len(text))
+        starts = np.append(0, ends[:-1] + 1)
         tags = text[starts]     # a blank line's tag is its newline
-        _require(np.isin(tags, list(b"\n#" + "".join(_FIELDS).encode())).all())
+        kinds = kind_of[tags]
+        _require((kinds >= 0).all())
 
         # Only comment and blank lines, whose tags sort first, precede the header.
         headers = np.flatnonzero(tags == ord("P"))
         if initial is None and (tags > ord("#")).any():
             _require(tags[(tags > ord("#")).argmax()] == ord("P"))
             initial, headers = pid(headers[0]), headers[1:]
+            yield initial
         _require(not len(headers))
 
-        control = np.flatnonzero(kind_of[tags])
+        control = np.flatnonzero(kinds)
         first, last = np.zeros((2, len(control)), np.int64)
         for tag, (length, fields) in _FIXED.items():
             rows = np.flatnonzero(tags == ord(tag))
@@ -287,23 +311,15 @@ def _scan(data: bytes) -> ControlFlow:
                 at = np.searchsorted(control, rows)
                 first[at] = values[::len(fields)]
                 last[at] = values[len(fields) - 1::len(fields)]
-        kinds = kind_of[tags[control]]
+        kinds = kinds[control]
         counts = plains + np.cumsum(tags == ord("I"))
         before = np.diff(counts[control], prepend=mark)
-        mark = counts[control[-1]] if len(control) else mark
         plains = counts[-1]
-        a = first.tolist()
-        for i in np.flatnonzero(kinds == SWITCH).tolist():
-            a[i] = pid(control[i])
-        items.extend(zip(before.tolist(), kinds.tolist(), a, last.tolist()))
-        start = end
+        if len(control):    # so none before the header
+            mark = counts[control[-1]]
+            a = first.tolist()
+            for i in np.flatnonzero(kinds == SWITCH).tolist():
+                a[i] = pid(control[i])
+            yield zip(before.tolist(), kinds.tolist(), a, last.tolist())
     _require(initial is not None)
-    items.append((int(plains - mark), END, 0, 0))
-    return ControlFlow(initial, items)
-
-
-def load_trace(path) -> ControlFlow:
-    """The control flow of a trace file; see :func:`scan_trace`."""
-    with open(path, "rb") as fh:
-        return scan_trace(fh.read())
-
+    yield [(int(plains - mark), END, 0, 0)]

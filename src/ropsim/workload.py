@@ -31,6 +31,7 @@ safely to larger intervals.
 
 from __future__ import annotations
 
+import gc
 import random
 from dataclasses import dataclass
 
@@ -194,17 +195,23 @@ class _Emitter:
         next_target = iter(self.targets).__next__
         jump_at, jump_after, jump_pc = self.jump or (-1, 0, 0)
         pc = USER_CODE_LO
-        for i, (n, kind, a, b) in enumerate(self.items):
-            if i == jump_at:
-                plains(pc, jump_after)
-                pc, n = jump_pc, n - jump_after
-            plains(pc, n)
-            if kind == CALL:
-                pc = next_target()
-                append(Call(a, pc, b))
-            elif kind == RETURN:
-                append(Return(a, b))
-                pc = b
+        enabled = gc.isenabled()
+        gc.disable()    # events form no cycles: collections would only rescan them
+        try:
+            for i, (n, kind, a, b) in enumerate(self.items):
+                if i == jump_at:
+                    plains(pc, jump_after)
+                    pc, n = jump_pc, n - jump_after
+                plains(pc, n)
+                if kind == CALL:
+                    pc = next_target()
+                    append(Call(a, pc, b))
+                elif kind == RETURN:
+                    append(Return(a, b))
+                    pc = b
+        finally:
+            if enabled:
+                gc.enable()
         return Trace(1, events)
 
 

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from ropsim import trace as trace_mod
 from ropsim.cli import build_parser, main
 from ropsim.trace import Plain, Trace, parse_trace, serialize_trace
 from ropsim.workload import BenignSpec, RopSpec, gen_benign, gen_rop
@@ -128,6 +129,25 @@ class TestDetect:
             assert code == 1, argv
             assert err.startswith("ropsim: error:"), argv
             assert "line 3" in err, argv
+
+    def test_bad_record_in_the_last_read_writes_nothing(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # The trace is scanned while the detector runs: a bad last record,
+        # read after the chain's verdict, still exits 1 with no output.
+        monkeypatch.setattr(trace_mod, "SCAN_CHUNK", 256)
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        text = serialize_trace(gen_rop(RopSpec(seed=1)))
+        assert len(text) > 8 * 256
+        bad = corpus / "rop_0.trace"
+        bad.write_text(text + "R 0000000g 00000000\n")
+        line = f"line {text.count(chr(10)) + 1}"
+        code, out, err = run_cli(["detect", str(bad)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("ropsim: error:") and line in err
+        code, out, err = run_cli(["scatter", str(corpus)], capsys)
+        assert (code, out) == (1, "")
+        assert line in err
 
     def test_parser_defaults(self):
         # bench/workloads.py passes these defaults to cmd_detect in a

@@ -1,5 +1,6 @@
 import functools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -216,12 +217,20 @@ class TestControlFlow:
         assert _scanned(text) == _parsed(text)
 
 
+def _loaded(path):
+    """`_scanned` of a file, through `load_trace`'s one-pass items."""
+    try:
+        flow = trace_mod.load_trace(path)
+        return ControlFlow(flow.initial_process, list(flow.items))
+    except TraceParseError as exc:
+        return exc.line, str(exc)
+
+
 @functools.cache
-def _chunked_text(seed: int) -> bytes:
+def _chunked_text(seed: int, chunk: int = trace_mod.SCAN_CHUNK) -> bytes:
     """A text of more than two scanner chunks, with comment and blank lines
     on both sides of each cut, one comment longer than a chunk, and a last
     line without a newline.  A chunk is cut after its last newline."""
-    chunk = trace_mod.SCAN_CHUNK
     rng = random.Random(seed)
     addr = lambda: f"{rng.getrandbits(32):08x}"
     forms = [lambda: f"I {addr()}", lambda: f"C {addr()} {addr()} {addr()}",
@@ -266,6 +275,60 @@ class TestChunks:
         line = text.count(b"\n", 0, at) + 1
         assert _scanned(bad) == _parsed(bad)
         assert _scanned(bad)[0] == line
+
+    # Texts of many 64-byte reads: comment-only reads before the header,
+    # lines across reads, a comment longer than a read, no final newline.
+    @pytest.mark.parametrize("text", [
+        b"# before the header\n" * 8 + _chunked_text(5, 1024), b"",
+        b"# no header\n" * 8, b"#" * 200, b"P 1\n" + b"R 00000000 00000004\n" * 20,
+        b"P 1\n" + b"#" * 200 + b"\nI 00000004"],
+        ids=["chunked", "empty", "comments", "long-comment", "ends-at-a-read", "long-line"])
+    def test_load_streams_the_scanned_items(self, text, tmp_path, monkeypatch):
+        monkeypatch.setattr(trace_mod, "SCAN_CHUNK", 64)
+        path = tmp_path / "t.trace"
+        path.write_bytes(text)
+        assert _loaded(path) == _scanned(text) == _parsed(text)
+
+    @pytest.mark.parametrize("record", [b"I 0000000G", b"P 12345678", b"X 01234567",
+                                        b"Z 00000000"])
+    def test_bad_record_in_a_late_read_fails_the_items(self, record, tmp_path, monkeypatch):
+        monkeypatch.setattr(trace_mod, "SCAN_CHUNK", 64)
+        text = _chunked_text(5, 1024)
+        at = text.rindex(b"\nI ", 0, len(text) - 500) + 1
+        bad = text[:at] + record + text[at + len(record):]
+        path = tmp_path / "bad.trace"
+        path.write_bytes(bad)
+        flow = trace_mod.load_trace(path)   # the header reads fine
+        with pytest.raises(TraceParseError) as exc:
+            list(flow.items)
+        assert (exc.value.line, str(exc.value)) == _parsed(bad)
+        assert exc.value.line == bad.count(b"\n", 0, at) + 1
+
+    def test_a_loaded_flow_is_read_once(self, tmp_path):
+        path = tmp_path / "t.trace"
+        path.write_bytes(b"P 1\nR 00000000 00000004\n")
+        flow = trace_mod.load_trace(path)
+        assert run(flow).intervals
+        with pytest.raises(ValueError, match="without an END item"):
+            run(flow)
+
+    def test_load_runs_in_bounded_memory(self, tmp_path, monkeypatch):
+        # The peak must not grow with the trace: the same body once and ten times.
+        monkeypatch.setattr(trace_mod, "SCAN_CHUNK", 2048)
+        body = serialize_trace(gen_benign(BenignSpec(
+            total_instructions=600, mispredict_burst_count=0, seed=3))).encode()
+        scan_trace(body)    # numpy is imported before the peaks are traced
+        peaks = []
+        for copies in (1, 10):
+            path = tmp_path / f"x{copies}.trace"
+            path.write_bytes(body + body[body.index(b"\n") + 1:] * (copies - 1))
+            tracemalloc.start()
+            try:
+                run(trace_mod.load_trace(path))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 16 << 10, peaks
 
 
 class TestRoundTrip:

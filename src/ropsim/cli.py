@@ -44,12 +44,15 @@ def _fail(message: str) -> int:
     return EXIT_ERROR
 
 
-def _write_out(text: str, out: str | None) -> None:
+def _write_out(text: str, out: str | None) -> int:
     if out in (None, "-"):
         sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
+        return EXIT_CLEAN
+    try:
+        Path(out).write_text(text, encoding="ascii", newline="")
+    except OSError as exc:
+        return _fail(f"cannot write {out}: {exc}")
+    return EXIT_CLEAN
 
 
 def _detector_flags(parser: argparse.ArgumentParser) -> None:
@@ -134,8 +137,7 @@ def cmd_gen_normal(args) -> int:
         trace = gen_benign(spec)
     except GenerationError as exc:
         return _fail(str(exc))
-    _write_out(serialize_trace(trace), args.out)
-    return EXIT_CLEAN
+    return _write_out(serialize_trace(trace), args.out)
 
 
 def cmd_gen_rop(args) -> int:
@@ -153,8 +155,7 @@ def cmd_gen_rop(args) -> int:
         trace = gen_rop(spec)
     except GenerationError as exc:
         return _fail(str(exc))
-    _write_out(serialize_trace(trace), args.out)
-    return EXIT_CLEAN
+    return _write_out(serialize_trace(trace), args.out)
 
 
 def cmd_interleave(args) -> int:
@@ -184,8 +185,7 @@ def cmd_interleave(args) -> int:
         trace = interleave(spec)
     except GenerationError as exc:
         return _fail(str(exc))
-    _write_out(serialize_trace(trace), args.out)
-    return EXIT_CLEAN
+    return _write_out(serialize_trace(trace), args.out)
 
 
 def cmd_detect(args) -> int:
@@ -233,8 +233,7 @@ def cmd_scatter(args) -> int:
         rows.append({"trace_id": path.stem, "label": label,
                      "min_n_r": min_n_r, "paired_n_i": paired_n_i})
     write_csv(rows, ["trace_id", "label", "min_n_r", "paired_n_i"], buf)
-    _write_out(buf.getvalue(), args.out)
-    return EXIT_CLEAN
+    return _write_out(buf.getvalue(), args.out)
 
 
 def cmd_sweep(args) -> int:
@@ -245,15 +244,17 @@ def cmd_sweep(args) -> int:
     except (OSError, json.JSONDecodeError, SweepSpecError) as exc:
         return _fail(f"bad sweep spec: {exc}")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
+    try:  # the directory is made first, so a bad --out fails before the sweep runs
+        out_dir.mkdir(parents=True, exist_ok=True)
         rows, summary = run_sweep(spec)
+        with open(out_dir / "rows.csv", "w", encoding="ascii", newline="") as fh:
+            write_csv(rows, ROW_FIELDS, fh)
+        with open(out_dir / "summary.csv", "w", encoding="ascii", newline="") as fh:
+            write_csv(summary, SUMMARY_FIELDS, fh)
     except GenerationError as exc:
         return _fail(str(exc))
-    with open(out_dir / "rows.csv", "w", encoding="ascii", newline="") as fh:
-        write_csv(rows, ROW_FIELDS, fh)
-    with open(out_dir / "summary.csv", "w", encoding="ascii", newline="") as fh:
-        write_csv(summary, SUMMARY_FIELDS, fh)
+    except OSError as exc:
+        return _fail(f"cannot write {out_dir}: {exc}")
     print(f"wrote {out_dir / 'rows.csv'} and {out_dir / 'summary.csv'}")
     return EXIT_CLEAN
 

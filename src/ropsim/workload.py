@@ -1,14 +1,15 @@
 """Seeded generators for benign traces, ROP payload traces, and interleavings.
 
 Every generator is a pure function of its spec: the same seed yields the
-same trace bytes.  `gen_benign` and `gen_rop` emit a `ControlFlow`, not
-events: a plain run only moves the pc cursor and is counted on the call or
-return after it.  Each checks the misprediction structure it promised
-(burst run lengths, chain length) on the marks of `detector.replay` over
-that flow, so a generator bug cannot silently skew detection results.
-The `Trace` they return is built from the checked flow afterwards;
-`benign_flow` and `rop_flow` return the flow and its replay instead, which
-is all a sweep needs.
+same trace bytes.  Draws are `random.Random(seed)`'s, taken through
+`_below`.  `gen_benign` and `gen_rop` emit a `ControlFlow`, not events: a
+plain run only moves the pc cursor and is counted on the call or return
+after it.  Each checks the misprediction structure it promised (burst run
+lengths, chain length) on the marks of `detector.replay` over that flow, so
+a generator bug cannot silently skew detection results.  The `Trace` they
+return is built from the checked flow afterwards; `benign_flow` and
+`rop_flow` return the flow and its replay instead, which is all a sweep
+needs.
 
 Benign traces mix matched call/return activity with recursion bursts that
 overflow the stack and unwind into short runs of mispredicted returns.
@@ -44,6 +45,7 @@ USER_CODE_LO = 0x08048000
 USER_CODE_HI = 0xB0000000
 KERNEL_CODE_LO = KERNEL_BASE
 KERNEL_CODE_HI = 0xFFFFFF00
+_TARGETS = (USER_CODE_HI - USER_CODE_LO + 15) // 16  # number of 16-byte aligned call targets
 
 SPARSE_MIN_GAP = 11
 SPARSE_MAX_GAP = 40
@@ -113,23 +115,32 @@ def _miss_runs(replayed: Replay) -> list[int]:
 
 # -- control-flow emission ----------------------------------------------------
 
+def _below(getrandbits, n: int) -> int:
+    """A draw in [0, n): CPython's `Random._randbelow_with_getrandbits`, so
+    ``lo + _below(rng.getrandbits, hi - lo + 1)`` is ``rng.randint(lo, hi)``."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 class _Emitter:
-    """Builds a `ControlFlow` with a pc cursor and a software call stack.
+    """Builds a `ControlFlow` with a pc cursor.
 
     A plain run only moves the cursor; its length is counted on the item
     after it.  Items do not carry call targets, so those go in `targets`,
     and `jump` records the one cursor move that is not a call or return.
     `trace` rebuilds the events from these."""
 
-    def __init__(self, rng: random.Random):
-        self.rng = rng
+    def __init__(self, bits):
+        self.bits = bits  # a `random.Random`'s `getrandbits`
         self.items: list[tuple[int, int, int, int]] = []
         self.targets: list[int] = []
         self.jump: tuple[int, int, int] | None = None  # (item, plains before it, pc)
         self.pc = USER_CODE_LO
         self.run = 0    # plains since the last item
         self.count = 0  # instructions emitted
-        self.shadow: list[int] = []
 
     def plains(self, n: int) -> None:
         if n > 0:
@@ -137,22 +148,8 @@ class _Emitter:
             self.run += n
             self.count += n
 
-    def call(self) -> None:
-        pc = self.pc
-        return_addr = pc + 4
-        target = self.rng.randrange(USER_CODE_LO, USER_CODE_HI, 16)
-        self.items.append((self.run, CALL, pc, return_addr))
-        self.targets.append(target)
-        self.shadow.append(return_addr)
-        self.pc = target
-        self.run = 0
-        self.count += 1
-
-    def ret_matched(self) -> None:
-        self.ret_to(self.shadow.pop())
-
     def ret_to(self, target: int) -> None:
-        """A return that ignores the software stack (corrupted/absent frame)."""
+        """A return that ignores the call stack (corrupted/absent frame)."""
         self.items.append((self.run, RETURN, self.pc, target))
         self.pc = target
         self.run = 0
@@ -164,18 +161,26 @@ class _Emitter:
 
     def nest(self, depth: int, _frame: tuple[int, int] = (0, 3),
              _unwind: tuple[int, int] = (0, 3)) -> None:
-        """A balanced call/return nest; leaves the stack as it found it.
-
-        `_frame` plains follow each call, `_unwind` plains precede each return."""
-        randint = self.rng.randint
-        frame_lo, frame_hi = _frame
-        unwind_lo, unwind_hi = _unwind
+        """A balanced call/return nest: `depth` calls, each to a drawn target
+        and followed by `_frame` plains, then the returns in reverse, each
+        preceded by `_unwind` plains."""
+        bits, append, add_target = self.bits, self.items.append, self.targets.append
+        (frame_lo, frame_hi), (unwind_lo, unwind_hi) = _frame, _unwind
+        pc, run, count, returns = self.pc, self.run, self.count + 2 * depth, []
         for _ in range(depth):
-            self.call()
-            self.plains(randint(frame_lo, frame_hi))
-        for _ in range(depth):
-            self.plains(randint(unwind_lo, unwind_hi))
-            self.ret_matched()
+            target = USER_CODE_LO + 16 * _below(bits, _TARGETS)
+            returns.append(pc + 4)
+            append((run, CALL, pc, returns[-1]))  # the matching RETURN shares the int
+            add_target(target)
+            run = frame_lo + _below(bits, frame_hi - frame_lo + 1)
+            pc = target + 4 * run if run else target  # an unmoved cursor keeps its int
+            count += run
+        for ret in reversed(returns):
+            n = unwind_lo + _below(bits, unwind_hi - unwind_lo + 1)
+            count += n
+            append((run + n, RETURN, pc + 4 * n if n else pc, ret))
+            pc, run = ret, 0
+        self.pc, self.run, self.count = pc, run, count
 
     def close(self) -> None:
         """End the flow: `flow` holds the items, then END."""
@@ -217,21 +222,22 @@ class _Emitter:
 
 # -- benign traces ------------------------------------------------------------
 
-def _burst_plan(spec: BenignSpec, rng: random.Random) -> list[tuple[int, int, int]]:
+def _burst_plan(spec: BenignSpec, bits) -> list[tuple[int, int, int]]:
     """Per-burst (run length, gap lo, gap hi); the first burst hits the chain cap."""
     chain_cap = spec.max_benign_mispredict_chain
     plan = []
     for i in range(spec.mispredict_burst_count):
         profile = spec.gap_profile
         if profile == "mixed":
-            profile = rng.choice(("sparse", "dense"))
+            profile = ("sparse", "dense")[_below(bits, 2)]
         if i == 0 and spec.gap_profile != "dense":
             profile = "sparse"
         if profile == "sparse":
-            k = chain_cap if i == 0 else rng.randint(min(2, chain_cap), chain_cap)
+            lo = min(2, chain_cap)
+            k = chain_cap if i == 0 else lo + _below(bits, chain_cap - lo + 1)
             plan.append((k, SPARSE_MIN_GAP, SPARSE_MAX_GAP))
         else:
-            k = rng.randint(1, min(DENSE_MAX_CHAIN, chain_cap))
+            k = 1 + _below(bits, min(DENSE_MAX_CHAIN, chain_cap))
             plan.append((k, 0, DENSE_MAX_GAP))
     return plan
 
@@ -260,8 +266,9 @@ def _benign(spec: BenignSpec) -> tuple[_Emitter, Replay]:
         raise GenerationError("bursts requested but the mispredict chain cap is 0")
 
     rng = random.Random(spec.seed)
-    em = _Emitter(rng)
-    plan = _burst_plan(spec, rng)
+    bits = rng.getrandbits
+    em = _Emitter(bits)
+    plan = _burst_plan(spec, bits)
     nest_cap = min(spec.ras_capacity, 6)
     total = spec.total_instructions
 
@@ -278,15 +285,15 @@ def _benign(spec: BenignSpec) -> tuple[_Emitter, Replay]:
     def fill(stop: int) -> None:
         while em.count < stop:
             if rng.random() < 0.4:
-                em.nest(rng.randint(1, nest_cap))
+                em.nest(1 + _below(bits, nest_cap))
             else:
-                em.plains(rng.randint(4, 40))
+                em.plains(4 + _below(bits, 37))
 
     for k, gap_lo, gap_hi in plan:
         stop = em.count + segment_target
         # A nest leads every filler segment so any interval spanning two
         # bursts picks up correctly predicted returns.
-        em.nest(rng.randint(1, nest_cap))
+        em.nest(1 + _below(bits, nest_cap))
         fill(stop)
         # Recursion `capacity + k` deep: the unwind mispredicts exactly k times.
         em.nest(spec.ras_capacity + k, _frame=(0, 1), _unwind=(gap_lo, gap_hi))
@@ -326,8 +333,9 @@ def _rop(spec: RopSpec) -> tuple[_Emitter, Replay]:
     if spec.prologue < 0 or spec.alignment_offset < 0:
         raise GenerationError("prologue and alignment_offset must be >= 0")
     rng = random.Random(spec.seed)
+    bits = rng.getrandbits
     if spec.gadget_sizes is None:
-        sizes = [rng.randint(2, 6) for _ in range(g)]
+        sizes = [2 + _below(bits, 5) for _ in range(g)]
     else:
         sizes = list(spec.gadget_sizes)
         if len(sizes) != g:
@@ -335,31 +343,31 @@ def _rop(spec: RopSpec) -> tuple[_Emitter, Replay]:
         if any(s < 1 for s in sizes):
             raise GenerationError("gadget sizes must be >= 1")
 
-    em = _Emitter(rng)
+    em = _Emitter(bits)
     nest_cap = 6
     while em.count < spec.prologue:
         if rng.random() < 0.5:
-            em.nest(rng.randint(1, nest_cap))
+            em.nest(1 + _below(bits, nest_cap))
         else:
-            em.plains(rng.randint(2, 20))
+            em.plains(2 + _below(bits, 19))
 
     # Alignment knob: benign mispredicted returns right before the chain
     # shift where interval boundaries fall inside it.  The prologue is
     # balanced, so these returns find an empty predictor stack.
     for _ in range(spec.alignment_offset):
-        em.plains(rng.randint(1, 3))
-        em.ret_to(rng.randrange(USER_CODE_LO, USER_CODE_HI, 4))
+        em.plains(1 + _below(bits, 3))
+        em.ret_to(USER_CODE_LO + 4 * _below(bits, (USER_CODE_HI - USER_CODE_LO + 3) // 4))
 
     kernel = spec.address_region is PrivilegeLevel.KERNEL
     lo, hi = (KERNEL_CODE_LO, KERNEL_CODE_HI) if kernel else (USER_CODE_LO, USER_CODE_HI)
-    bases = [rng.randrange(lo, hi - 64, 16) for _ in range(g)]
+    bases = [lo + 16 * _below(bits, (hi - 64 - lo + 15) // 16) for _ in range(g)]
     # Each gadget returns to the next, so only the first is jumped to.
     em.jump_to(bases[0])
     for i, size in enumerate(sizes):
         if bases[i] + 4 * (size - 1) > 0xFFFFFFFF:
             raise GenerationError(f"gadget {i} runs past address 0xffffffff")
         em.plains(size - 1)
-        em.ret_to(bases[i + 1] if i + 1 < g else rng.randrange(lo, hi - 64, 4))
+        em.ret_to(bases[i + 1] if i + 1 < g else lo + 4 * _below(bits, (hi - 64 - lo + 3) // 4))
     em.close()
 
     replayed = replay(em.flow, DEFAULT_CAPACITY)

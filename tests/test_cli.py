@@ -362,3 +362,32 @@ class TestSweepCommand:
                                     "--out", str(tmp_path / "o")], capsys)
             assert code == 1, spec
             assert err.startswith("ropsim: error: bad sweep spec"), spec
+
+
+@pytest.mark.parametrize("command", ["gen-normal", "gen-rop", "interleave",
+                                     "scatter", "sweep", "sweep-csv"])
+def test_unwritable_out_is_an_error(command, tmp_path, capsys):
+    """`--out` in a missing directory, a sweep `--out` that is a file, or one
+    whose rows.csv is a directory: exit 1 with one error line."""
+    part = tmp_path / "benign_0.trace"
+    write_trace(Trace(1, [Plain(4 * i) for i in range(9)]), part)
+    weave, sweep = tmp_path / "weave.json", tmp_path / "sweep.json"
+    weave.write_text(json.dumps({"parts": {"1": str(part)}, "schedule": [[1, 9]]}))
+    sweep.write_text(json.dumps({"g_values": [6], "alignment_offsets": [0],
+                                 "benign_count": 1, "benign_events": 3000,
+                                 "benign_bursts": 1}))
+    (tmp_path / "out" / "rows.csv").mkdir(parents=True)
+    missing = str(tmp_path / "missing" / "out")
+    argv, out = {
+        "gen-normal": (["gen-normal", "--events", "500", "--bursts", "0"], missing),
+        "gen-rop": (["gen-rop", "-G", "3", "--prologue", "0"], missing),
+        "interleave": (["interleave", str(weave)], missing),
+        "scatter": (["scatter", str(tmp_path)], missing),
+        "sweep": (["sweep", str(sweep)], str(part)),
+        "sweep-csv": (["sweep", str(sweep)], str(tmp_path / "out")),
+    }[command]
+    code, stdout, err = run_cli([*argv, "--out", out], capsys)
+    assert code == 1
+    assert err.startswith(f"ropsim: error: cannot write {out}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert stdout == ""

@@ -2,7 +2,8 @@
 as SHA-256 digests.
 
 Each generator case serializes a seeded trace from `gen_benign` (at every
-gap profile), `gen_rop` (user and kernel region) or `interleave`, so a
+gap profile, and at predictors of 4 and 1 entries with chain caps of 1 and
+2), `gen_rop` (user and kernel region) or `interleave`, so a
 change to any address, draw or event order shows here.  Each command case
 writes a seeded input, runs the command through `cli.main` and compares
 the digest of what it wrote.  Any change to an interval record,
@@ -70,6 +71,15 @@ def _benign_at(profile: str) -> Trace:
                                  gap_profile=profile, seed=7))
 
 
+def _benign_shallow(capacity: int, chain_cap: int, bursts: int, profile: str,
+                    seed: int) -> Trace:
+    """A predictor shallower than the nests that fill between bursts."""
+    return gen_benign(BenignSpec(total_instructions=6000, ras_capacity=capacity,
+                                 max_benign_mispredict_chain=chain_cap,
+                                 mispredict_burst_count=bursts,
+                                 gap_profile=profile, seed=seed))
+
+
 def _rop_user() -> Trace:
     return gen_rop(RopSpec(chain_length=12, alignment_offset=3, prologue=300,
                            seed=5))
@@ -99,6 +109,10 @@ TRACE_CASES = {
                      "52f869fc085beb9af888b5d983c656f549893b4c0b2f5432606811d68cb96151"),
     "benign-mixed": (partial(_benign_at, "mixed"),
                      "440f8c6c3273f15c6309673b5f1599f945242b39cd042b70b7af1ea5183db9e4"),
+    "benign-ras4-chain1": (partial(_benign_shallow, 4, 1, 3, "sparse", 11),
+                           "f4dcc32669987a8e8a45c99ffad3d01f0589615524aee309658553d0018c82c5"),
+    "benign-ras1-chain2": (partial(_benign_shallow, 1, 2, 2, "dense", 2),
+                           "93f4a0010873902a2248b7c5a5ee0720758a0b64394ad6f97c3a4b96d0437103"),
     "rop-user": (_rop_user,
                  "6d77223bc63ed06a106a7b1c7b8c869ce49f0165c771be5dd80da77ac6dbd6b1"),
     "rop-kernel": (_rop_kernel,

@@ -174,9 +174,11 @@ class TestFlowView:
 
     @pytest.mark.parametrize("profile", GAP_PROFILES)
     def test_benign(self, profile):
-        for seed in range(4):
-            spec = BenignSpec(total_instructions=6000, mispredict_burst_count=3,
-                              gap_profile=profile, seed=seed)
+        # At capacity 1 and 4 the recursion nests `capacity + k` are shallow.
+        for capacity, seed in itertools.product((1, 4, DEFAULT_CAPACITY), range(4)):
+            spec = BenignSpec(total_instructions=6000, ras_capacity=capacity,
+                              mispredict_burst_count=3, gap_profile=profile,
+                              seed=seed)
             flow, replayed = benign_flow(spec)
             trace = gen_benign(spec)
             assert control_flow(trace) == flow
@@ -195,6 +197,41 @@ class TestFlowView:
             assert pc_breaks(trace) == [len(trace.events) - 2 * 5]
             ended_on_plains += offset == 0 and flow.items[-6][0] > 1
         assert ended_on_plains
+
+
+class TestDraws:
+    """`_below` stands in for `random.Random`'s `randint`, `randrange` and
+    `choice`: the same values from the same bits, so the traces stay the same."""
+
+    MISMATCH = ("workload._below no longer matches CPython's "
+                "Random._randbelow_with_getrandbits (the `_randbelow` behind "
+                "randint, randrange and choice)")
+    # Every (start, stop, step) the generators draw an address from.
+    ADDRESS_RANGES = [(lo, stop, step)
+                      for lo, hi in ((workload.USER_CODE_LO, workload.USER_CODE_HI),
+                                     (workload.KERNEL_CODE_LO, workload.KERNEL_CODE_HI))
+                      for stop in (hi, hi - 64) for step in (4, 16)]
+
+    def test_same_draws_as_random(self):
+        below = workload._below
+        for seed in range(50):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            bits = ours.getrandbits
+            # Widths 1..40 cover every fixed-range randint in the generators
+            # and chain caps up to 41, the rejection-heavy randint(1, 1) at a
+            # chain cap of 1 among them.
+            for n in range(1, 41):
+                got = [7 + below(bits, n) for _ in range(3)]
+                assert got == [theirs.randint(7, 6 + n) for _ in range(3)], self.MISMATCH
+            for lo, stop, step in self.ADDRESS_RANGES:
+                got = lo + step * below(bits, (stop - lo + step - 1) // step)
+                assert got == theirs.randrange(lo, stop, step), self.MISMATCH
+            got = [("sparse", "dense")[below(bits, 2)] for _ in range(4)]
+            assert got == [theirs.choice(("sparse", "dense")) for _ in range(4)], self.MISMATCH
+            assert ours.getstate() == theirs.getstate(), self.MISMATCH
+        # `nest` draws its call targets as randrange(USER_CODE_LO, USER_CODE_HI, 16).
+        assert workload._TARGETS == len(range(workload.USER_CODE_LO,
+                                              workload.USER_CODE_HI, 16))
 
 
 class TestSelfCheck:

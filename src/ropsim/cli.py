@@ -10,15 +10,17 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import re
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from .detector import DEFAULT_CAPACITY, DetectorConfig, run
 from .harness import (ROW_FIELDS, SUMMARY_FIELDS, SweepSpec, SweepSpecError,
                       is_json_int, run_sweep, scatter_point, write_csv)
-from .trace import (PID_PATTERN, PrivilegeLevel, TraceParseError, load_trace,
-                    parse_trace, serialize_trace)
+from .trace import (PID_PATTERN, PrivilegeLevel, TraceParseError, _serialized,
+                    load_trace, parse_trace)
 from .workload import (BenignSpec, GAP_PROFILES, GenerationError,
                        InterleaveSpec, RopSpec, gen_benign, gen_rop,
                        interleave)
@@ -44,14 +46,24 @@ def _fail(message: str) -> int:
     return EXIT_ERROR
 
 
-def _write_out(text: str, out: str | None) -> int:
-    if out in (None, "-"):
-        sys.stdout.write(text)
-        return EXIT_CLEAN
+def _write_out(pieces: Iterable[str], out: str | None) -> int:
+    """Write the text `pieces` to the file `out`, or to stdout for None or "-"."""
+    to_stdout = out in (None, "-")
     try:
-        Path(out).write_text(text, encoding="ascii", newline="")
+        if to_stdout:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        else:
+            with open(out, "w", encoding="ascii", newline="") as fh:
+                fh.writelines(pieces)
     except OSError as exc:
-        return _fail(f"cannot write {out}: {exc}")
+        if to_stdout:
+            # Python flushes stdout again at exit: give what is still
+            # buffered somewhere to go, so that flush cannot fail too.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return _fail(f"cannot write {'stdout' if to_stdout else out}: {exc}")
     return EXIT_CLEAN
 
 
@@ -137,7 +149,7 @@ def cmd_gen_normal(args) -> int:
         trace = gen_benign(spec)
     except GenerationError as exc:
         return _fail(str(exc))
-    return _write_out(serialize_trace(trace), args.out)
+    return _write_out(_serialized(trace), args.out)
 
 
 def cmd_gen_rop(args) -> int:
@@ -155,7 +167,7 @@ def cmd_gen_rop(args) -> int:
         trace = gen_rop(spec)
     except GenerationError as exc:
         return _fail(str(exc))
-    return _write_out(serialize_trace(trace), args.out)
+    return _write_out(_serialized(trace), args.out)
 
 
 def cmd_interleave(args) -> int:
@@ -185,7 +197,7 @@ def cmd_interleave(args) -> int:
         trace = interleave(spec)
     except GenerationError as exc:
         return _fail(str(exc))
-    return _write_out(serialize_trace(trace), args.out)
+    return _write_out(_serialized(trace), args.out)
 
 
 def cmd_detect(args) -> int:
@@ -199,7 +211,8 @@ def cmd_detect(args) -> int:
         return _fail(f"cannot read trace: {exc}")
     except TraceParseError as exc:
         return _fail(f"{args.trace}: {exc}")
-    sys.stdout.write(report.to_jsonl())
+    if _write_out([report.to_jsonl()], None):
+        return EXIT_ERROR
     return EXIT_DETECTED if report.verdicts else EXIT_CLEAN
 
 
@@ -233,7 +246,7 @@ def cmd_scatter(args) -> int:
         rows.append({"trace_id": path.stem, "label": label,
                      "min_n_r": min_n_r, "paired_n_i": paired_n_i})
     write_csv(rows, ["trace_id", "label", "min_n_r", "paired_n_i"], buf)
-    return _write_out(buf.getvalue(), args.out)
+    return _write_out([buf.getvalue()], args.out)
 
 
 def cmd_sweep(args) -> int:
@@ -255,8 +268,7 @@ def cmd_sweep(args) -> int:
         return _fail(str(exc))
     except OSError as exc:
         return _fail(f"cannot write {out_dir}: {exc}")
-    print(f"wrote {out_dir / 'rows.csv'} and {out_dir / 'summary.csv'}")
-    return EXIT_CLEAN
+    return _write_out([f"wrote {out_dir / 'rows.csv'} and {out_dir / 'summary.csv'}\n"], None)
 
 
 _COMMANDS = {

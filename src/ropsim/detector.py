@@ -50,7 +50,6 @@ empties the predictor at every context switch.
 from __future__ import annotations
 
 import enum
-import json
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -117,30 +116,16 @@ class DetectionReport:
         return not self.verdicts
 
     def to_jsonl(self) -> str:
-        """One JSON record per interval and per verdict; stable field names."""
-        lines = []
-        for r in self.intervals:
-            lines.append(json.dumps({
-                "type": "interval",
-                "pid": r.pid,
-                "interval_index": r.index,
-                "n_i": r.n_i,
-                "n_r": r.n_r,
-                "n_m": r.n_m,
-                "closed_by": r.closed_by.value,
-            }, sort_keys=True))
-        for v in self.verdicts:
-            lines.append(json.dumps({
-                "type": "verdict",
-                "verdict": "rop_detected",
-                "pid": v.pid,
-                "interval_index": v.interval_index,
-                "n_i": v.n_i,
-                "n_r": v.n_r,
-                "level": v.level.value,
-                "trigger_pc": f"{v.trigger_pc:08x}",
-            }, sort_keys=True))
-        return "\n".join(lines) + ("\n" if lines else "")
+        """One JSON record per interval and per verdict; stable field names.
+        Each record is written as `json.dumps(record, sort_keys=True)` would."""
+        lines = [f'{{"closed_by": "{r.closed_by.value}", "interval_index": {r.index}, '
+                 f'"n_i": {r.n_i}, "n_m": {r.n_m}, "n_r": {r.n_r}, "pid": {r.pid}, '
+                 f'"type": "interval"}}\n' for r in self.intervals]
+        lines += [f'{{"interval_index": {v.interval_index}, "level": "{v.level.value}", '
+                  f'"n_i": {v.n_i}, "n_r": {v.n_r}, "pid": {v.pid}, '
+                  f'"trigger_pc": "{v.trigger_pc:08x}", "type": "verdict", '
+                  f'"verdict": "rop_detected"}}\n' for v in self.verdicts]
+        return "".join(lines)
 
 
 def _marks(flow: ControlFlow, ras_capacity: int, flush_ras_on_switch: bool,

@@ -16,6 +16,10 @@ The parser accepts only this canonical form, so every accepted record
 re-serializes to the same bytes.  Plain, Call and Return each count as
 one retired instruction; Switch counts as zero.
 
+`serialize_trace` formats `SERIALIZE_CHUNK` events at a time and joins the
+pieces, and `ropsim gen-*` and `interleave` write the same pieces out as
+they come, so no more than one chunk's line strings are ever held.
+
 The detector reads a trace as its `ControlFlow`, which `control_flow`
 derives from a `Trace` and `scan_trace` reads from the text with numpy,
 one chunk of lines at a time: lines are found by their newlines and
@@ -127,6 +131,9 @@ _FIXED = {tag: (1 + 9 * len(fields), range(2, 9 * len(fields), 9))
           for tag, fields in _FIELDS.items() if set(fields) == {_ADDR}}
 # Bytes of text the scanner takes at a time, up to the last newline in them.
 SCAN_CHUNK = 1 << 18
+# Events whose lines the serializer formats and hands on at a time, so that
+# no more than one chunk of line strings is alive at once.
+SERIALIZE_CHUNK = 1 << 15
 
 
 def _bad_record(lineno: int, line: str) -> TraceParseError:
@@ -189,22 +196,31 @@ def parse_trace(text: Union[str, bytes]) -> Trace:
 
 def serialize_trace(trace: Trace) -> str:
     """Emit the canonical text form; identical traces yield identical bytes."""
-    out = [f"P {trace.initial_process}"]
-    append = out.append
-    for ev in trace.events:
-        cls = ev.__class__
-        if cls is Plain:
-            append(f"I {ev.pc:08x}")
-        elif cls is Call:
-            append(f"C {ev.pc:08x} {ev.target:08x} {ev.return_addr:08x}")
-        elif cls is Return:
-            append(f"R {ev.pc:08x} {ev.actual_target:08x}")
-        elif cls is Switch:
-            append(f"X {ev.next_pid}")
-        else:
-            raise TypeError(f"not a trace event: {ev!r}")
-    append("")
-    return "\n".join(out)
+    return "".join(_serialized(trace))
+
+
+def _serialized(trace: Trace):
+    """Yield `serialize_trace`'s text: the header line, then the lines of
+    each `SERIALIZE_CHUNK` events, every piece ending with its newline."""
+    yield f"P {trace.initial_process}\n"
+    events = trace.events
+    for start in range(0, len(events), SERIALIZE_CHUNK):
+        out = []
+        append = out.append
+        for ev in events[start:start + SERIALIZE_CHUNK]:
+            cls = ev.__class__
+            if cls is Plain:
+                append(f"I {ev.pc:08x}")
+            elif cls is Call:
+                append(f"C {ev.pc:08x} {ev.target:08x} {ev.return_addr:08x}")
+            elif cls is Return:
+                append(f"R {ev.pc:08x} {ev.actual_target:08x}")
+            elif cls is Switch:
+                append(f"X {ev.next_pid}")
+            else:
+                raise TypeError(f"not a trace event: {ev!r}")
+        append("")
+        yield "\n".join(out)
 
 
 def control_flow(trace: Trace) -> ControlFlow:

@@ -1,11 +1,21 @@
 """Shared corpus builders for the test suite."""
 
+import os
 import random
 from itertools import groupby
+from pathlib import Path
 
+import ropsim
 from ropsim.trace import Call, Plain, Return, Switch, Trace
 from ropsim.workload import (BenignSpec, InterleaveSpec, RopSpec, gen_benign,
                              gen_rop, interleave)
+
+
+def package_env() -> dict[str, str]:
+    """The environment for a fresh Python process that imports this `ropsim`."""
+    src = str(Path(ropsim.__file__).resolve().parent.parent)
+    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
 
 
 def chaos_trace(rng: random.Random) -> Trace:

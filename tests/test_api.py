@@ -1,9 +1,9 @@
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import ropsim
+
+from helpers import package_env
 
 
 def test_every_export_resolves_once():
@@ -16,9 +16,6 @@ def test_commands_that_scan_no_trace_do_not_import_numpy():
     # Only the trace scanner needs numpy; `sweep`, `gen-*` and `interleave`
     # should not pay for importing it.
     code = "import sys, ropsim.cli, ropsim.harness; print('numpy' in sys.modules)"
-    src = str(Path(ropsim.__file__).resolve().parent.parent)
-    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True).stdout
+                         env=package_env(), check=True).stdout
     assert out.strip() == "False"

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -7,6 +10,8 @@ from ropsim import trace as trace_mod
 from ropsim.cli import build_parser, main
 from ropsim.trace import Plain, Trace, parse_trace, serialize_trace
 from ropsim.workload import BenignSpec, RopSpec, gen_benign, gen_rop
+
+from helpers import package_env
 
 
 def write_trace(trace, path):
@@ -43,6 +48,17 @@ class TestGenerate:
                     if json.loads(l)["type"] == "verdict"]
         assert verdicts and verdicts[0]["pid"] == 1
         assert verdicts[0]["interval_index"] >= 1
+
+    def test_writes_serialize_trace_bytes_chunk_by_chunk(self, tmp_path, capsys,
+                                                         monkeypatch):
+        spec = BenignSpec(total_instructions=5000, mispredict_burst_count=2, seed=4)
+        want = serialize_trace(gen_benign(spec))
+        monkeypatch.setattr(trace_mod, "SERIALIZE_CHUNK", 1000)
+        path = tmp_path / "benign.trace"
+        argv = ["gen-normal", "--events", "5000", "--bursts", "2", "--seed", "4"]
+        assert run_cli([*argv, "--out", str(path)], capsys) == (0, "", "")
+        assert path.read_bytes() == want.encode("ascii")
+        assert run_cli(argv, capsys) == (0, want, "")
 
     def test_gen_rop_explicit_sizes_to_stdout(self, capsys):
         code, out, _ = run_cli(["gen-rop", "-G", "3",
@@ -391,3 +407,27 @@ def test_unwritable_out_is_an_error(command, tmp_path, capsys):
     assert err.startswith(f"ropsim: error: cannot write {out}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert stdout == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_unwritable_stdout_is_an_error():
+    """stdout on a full device, or a pipe whose reader has gone: exit 1 with
+    one error line, and nothing more when Python flushes stdout at exit."""
+    reader, closed_pipe = os.pipe()
+    os.close(reader)
+    full = os.open("/dev/full", os.O_WRONLY)
+    cases = {"Errno 28": (["gen-rop", "-G", "1", "--prologue", "0"], full),
+             "Broken pipe": (["gen-normal", "--events", "200000"], closed_pipe)}
+    try:  # both at once, so that the test takes the time of the slower one
+        procs = {name: subprocess.Popen([sys.executable, "-m", "ropsim.cli", *argv],
+                                        stdout=stdout, stderr=subprocess.PIPE,
+                                        text=True, env=package_env())
+                 for name, (argv, stdout) in cases.items()}
+    finally:
+        os.close(full)
+        os.close(closed_pipe)
+    for name, proc in procs.items():
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1, (name, err)
+        assert err.startswith("ropsim: error: cannot write stdout: "), (name, err)
+        assert name in err and err.count("\n") == 1, (name, err)

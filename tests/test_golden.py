@@ -21,6 +21,7 @@ from functools import partial
 
 import pytest
 
+from ropsim import trace as trace_mod
 from ropsim.cli import main
 from ropsim.trace import (Plain, PrivilegeLevel, Return, Switch, Trace,
                          serialize_trace)
@@ -150,9 +151,13 @@ def _sha256(data: bytes) -> str:
 
 
 @pytest.mark.parametrize("case", sorted(TRACE_CASES))
-def test_generated_trace_bytes(case):
+def test_generated_trace_bytes(case, monkeypatch):
     build, digest = TRACE_CASES[case]
-    assert _sha256(serialize_trace(build()).encode("ascii")) == digest
+    trace = build()
+    assert _sha256(serialize_trace(trace).encode("ascii")) == digest
+    # Again across thousands of chunk boundaries.
+    monkeypatch.setattr(trace_mod, "SERIALIZE_CHUNK", 7)
+    assert _sha256(serialize_trace(trace).encode("ascii")) == digest
 
 
 @pytest.mark.parametrize("case", sorted(DETECT_CASES))

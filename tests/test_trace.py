@@ -186,6 +186,18 @@ class TestSerialize:
         out = serialize_trace(Trace(1, [Plain(0xC0000000), Return(0x4, 0xAB)]))
         assert out == "P 1\nI c0000000\nR 00000004 000000ab\n"
 
+    def test_holds_one_chunk_of_lines_at_a_time(self, monkeypatch):
+        # The text and the pieces it is joined from, but not a string per line.
+        monkeypatch.setattr(trace_mod, "SERIALIZE_CHUNK", 128)
+        trace = Trace(1, [Plain(4 * i) for i in range(4000)])
+        tracemalloc.start()
+        try:
+            text = serialize_trace(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * len(text), (peak, len(text))
+
 
 class TestControlFlow:
     def test_items_carry_the_plain_runs(self):
@@ -273,8 +285,9 @@ class TestChunks:
         at = text.index(b"\nI ", trace_mod.SCAN_CHUNK + 1000) + 1
         bad = text[:at] + record + text[at + len(record):]     # replaces one I line
         line = text.count(b"\n", 0, at) + 1
-        assert _scanned(bad) == _parsed(bad)
-        assert _scanned(bad)[0] == line
+        scanned = _scanned(bad)
+        assert scanned == _parsed(bad)
+        assert scanned[0] == line
 
     # Texts of many 64-byte reads: comment-only reads before the header,
     # lines across reads, a comment longer than a read, no final newline.

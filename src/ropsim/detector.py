@@ -141,21 +141,21 @@ def _marks(flow: ControlFlow, ras_capacity: int, flush_ras_on_switch: bool,
     n_i = n_r = 0
     kind = None
     for plains, kind, a, b in flow.items:
-        if live:
-            n_i += plains
-            if kind == RETURN:
+        if kind == RETURN:
+            if live:
                 # Counted, then predicted.
-                n_i += 1
+                n_i += plains + 1
                 n_r += 1
                 if not ras or pop() != b:
                     yield RETURN, n_i, n_r, a
                     n_i = n_r = 0
                     live = cur not in stopped
-            elif kind == CALL:
-                n_i += 1
+        elif kind == CALL:
+            if live:
+                n_i += plains + 1
                 push(b)
-        if kind == SWITCH:
-            yield SWITCH, n_i, n_r, a
+        elif kind == SWITCH:
+            yield SWITCH, n_i + plains if live else n_i, n_r, a
             n_i = n_r = 0
             if flush_ras_on_switch:
                 ras.clear()
@@ -163,7 +163,7 @@ def _marks(flow: ControlFlow, ras_capacity: int, flush_ras_on_switch: bool,
             live = cur not in stopped
     if kind != END:  # e.g. a second pass over a loaded flow's spent iterator
         raise ValueError("control flow items end without an END item")
-    yield END, n_i, n_r, 0
+    yield END, n_i + plains if live else n_i, n_r, 0
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,12 @@ they come, so no more than one chunk's line strings are ever held.
 
 The detector reads a trace as its `ControlFlow`, which `control_flow`
 derives from a `Trace` and `scan_trace` reads from the text with numpy,
-one chunk of lines at a time: lines are found by their newlines and
-classed by their first byte, and the parser's field table gives the
-widths and offsets by which fixed-width records are checked as arrays.
-`load_trace` scans a file chunk by chunk as its flow's items are read, once.
+one chunk of lines at a time: lines are found by their newlines, plain
+lines (most of any trace) are checked in one pass and only counted, and
+the other lines are classed by their first byte, calls and returns checked
+by the widths and offsets in the parser's field table, and only the two
+addresses an item carries decoded.  `load_trace` scans a file chunk by
+chunk as its flow's items are read, once.
 
 Event objects are plain mutable-slot containers but are treated as
 immutable values everywhere in this package.
@@ -274,7 +276,8 @@ def _require(ok) -> None:
 
 def _scan(fh):
     """Yield the header's pid, then the items of each chunk, then END's.  A chunk
-    is the next `SCAN_CHUNK` bytes up to their last newline, or else one line."""
+    is the next `SCAN_CHUNK` bytes up to their last newline, or else one line.
+    An item's plain run is its line index less its rank among the other lines."""
     import numpy as np
     kind_of = np.full(256, -1, np.int8)    # -1: not a record's first byte
     kind_of[list(b"\n#" + "".join(_FIELDS).encode())] = 0
@@ -285,8 +288,18 @@ def _scan(fh):
         _require(m)
         return int(m[m.lastindex])  # a ValueError if it has too many digits
 
+    def addresses(tag: str, rows):  # the `tag` lines `rows`' digits, checked: a row per field
+        length, fields = _FIXED[tag]
+        at = starts[rows]
+        _require((ends[rows] - at == length).all())
+        at = at + np.array(fields)[:, None]
+        _require((text[at - 1] == 32).all())
+        digits = words[at].view(np.uint8)
+        _require((((digits - 48) < 10) | ((digits - 97) < 6)).all())
+        return digits
+
     initial = None
-    plains = mark = 0   # `mark`: the plain lines up to the last item
+    plains = 0          # plain lines since the last item
     rest = b""          # a partial line, carried into the next read
     while data := rest + fh.read(SCAN_CHUNK - len(rest)):
         if b"\n" not in data:   # a line longer than a read
@@ -302,40 +315,33 @@ def _scan(fh):
             ends = np.append(ends, len(text))
         starts = np.append(0, ends[:-1] + 1)
         tags = text[starts]     # a blank line's tag is its newline
-        kinds = kind_of[tags]
+        plain = tags == ord("I")
+        addresses("I", np.flatnonzero(plain))
+        other = np.flatnonzero(~plain)
+        kinds = kind_of[tags[other]]
         _require((kinds >= 0).all())
 
         # Only comment and blank lines, whose tags sort first, precede the header.
-        headers = np.flatnonzero(tags == ord("P"))
+        headers = other[tags[other] == ord("P")]
         if initial is None and (tags > ord("#")).any():
             _require(tags[(tags > ord("#")).argmax()] == ord("P"))
             initial, headers = pid(headers[0]), headers[1:]
             yield initial
         _require(not len(headers))
 
-        control = np.flatnonzero(kinds)
+        rank = np.flatnonzero(kinds)    # of each item among the other lines
+        control, kinds = other[rank], kinds[rank]
         first, last = np.zeros((2, len(control)), np.int64)
-        for tag, (length, fields) in _FIXED.items():
-            rows = np.flatnonzero(tags == ord(tag))
-            _require((ends[rows] - starts[rows] == length).all())
-            at = starts[rows, None] + fields
-            digits = words[at].view(np.uint8)
-            _require((text[at - 1] == 32).all())
-            _require((((digits - 48) < 10) | ((digits - 97) < 6)).all())
-            if tag != "I":
-                values = np.frombuffer(bytes.fromhex(digits.tobytes().decode()), ">u4")
-                at = np.searchsorted(control, rows)
-                first[at] = values[::len(fields)]
-                last[at] = values[len(fields) - 1::len(fields)]
-        kinds = kinds[control]
-        counts = plains + np.cumsum(tags == ord("I"))
-        before = np.diff(counts[control], prepend=mark)
-        plains = counts[-1]
+        for tag, kind in ("C", CALL), ("R", RETURN):
+            at = np.flatnonzero(kinds == kind)
+            digits = addresses(tag, control[at])[[0, -1]].tobytes().decode()
+            first[at], last[at] = np.frombuffer(bytes.fromhex(digits), ">u4").reshape(2, -1)
+        before = np.diff(control - rank, prepend=-plains)
+        plains += len(tags) - len(other) - int(before.sum())
         if len(control):    # so none before the header
-            mark = counts[control[-1]]
             a = first.tolist()
             for i in np.flatnonzero(kinds == SWITCH).tolist():
                 a[i] = pid(control[i])
             yield zip(before.tolist(), kinds.tolist(), a, last.tolist())
     _require(initial is not None)
-    yield [(int(plains - mark), END, 0, 0)]
+    yield [(plains, END, 0, 0)]

@@ -391,7 +391,7 @@ def interleave(spec: InterleaveSpec) -> Trace:
             raise GenerationError(f"process id {pid} is negative")
         if pid in parts:
             raise GenerationError(f"duplicate part for pid {pid}")
-        if any(ev.__class__ is Switch for ev in segment.events):
+        if Switch in map(type, segment.events):
             raise GenerationError(f"part for pid {pid} contains Switch events")
         parts[pid] = segment.events
     if not spec.schedule:

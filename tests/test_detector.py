@@ -113,6 +113,20 @@ class TestBasicVerdicts:
         overflow = [r for r in report.intervals if r.closed_by is ClosedBy.OVERFLOW]
         assert len(overflow) == 1
 
+    @pytest.mark.parametrize("table", [True, False])
+    def test_a_stopped_process_counts_no_plains(self, table):
+        # pid 1 is flagged at its sixth return; its plains before a switch
+        # and before the end count nothing, pid 2's still do.
+        events = [Return(0x1000 + 4 * i, 0x9000 + 4 * i) for i in range(6)]
+        events += [Plain(0), Call(4, 0x100, 8), Plain(0x100), Switch(2), Plain(0x200),
+                   Switch(1), Plain(0x10), Plain(0x14)]
+        trace = Trace(1, events)
+        report = run(control_flow(trace), DetectorConfig(table_enabled=table))
+        got = [(r.pid, r.index, r.n_i, r.n_r, r.n_m, r.closed_by.value)
+               for r in report.intervals]
+        assert got == reference_intervals(trace, 6, 6, 16, table_enabled=table)
+        assert got == [(1, 1, 6, 6, 6, "overflow")] + [(2, 1, 1, 0, 0, "switch")] * (not table)
+
 
 class TestIntervals:
     def test_end_of_trace_interval_is_never_checked(self):

@@ -224,6 +224,9 @@ class TestControlFlow:
     @example(text=b"")                                    # empty file
     @example(text=b"P 1\r\nI 00000000\r\n")              # CRLF
     @example(text=b"P 1\n# caf\xc3\xa9\nI 00000000\n")   # non-ASCII byte
+    @example(text=b"P 1\nI 00000000\nR 00000001 00000002\n# c\n\nX 2\n")  # no plains between
+    @example(text=b"P 1\nI 0000000A\n")                  # an upper-case digit
+    @example(text=b"P 1\nC 00000000 0000000g 00000000\n")  # a call target past f
     def test_scanner_and_parser_accept_the_same_language(self, text):
         # Same items on accepted text; the same line and message on rejected text.
         assert _scanned(text) == _parsed(text)
@@ -279,23 +282,29 @@ class TestChunks:
         assert {kind for _, kind, _, _ in flow.items} == {CALL, RETURN, SWITCH, END}
 
     @pytest.mark.parametrize("record", [b"I 0000000G", b"P 12345678", b"X 01234567",
-                                        b"Z 00000000"])
+                                        b"Z 00000000", b"I_0000000a",
+                                        b"C 00000000 00000004 0000008",
+                                        b"R 00000000 00000004 00000008"])
     def test_bad_record_in_the_second_chunk(self, record):
         text = _chunked_text(5)
         at = text.index(b"\nI ", trace_mod.SCAN_CHUNK + 1000) + 1
-        bad = text[:at] + record + text[at + len(record):]     # replaces one I line
+        bad = text[:at] + record + text[text.index(b"\n", at):]  # replaces one I line
         line = text.count(b"\n", 0, at) + 1
         scanned = _scanned(bad)
         assert scanned == _parsed(bad)
         assert scanned[0] == line
 
     # Texts of many 64-byte reads: comment-only reads before the header,
-    # lines across reads, a comment longer than a read, no final newline.
+    # lines across reads, a comment longer than a read, no final newline,
+    # and reads of only plain or only comment lines between two items.
     @pytest.mark.parametrize("text", [
         b"# before the header\n" * 8 + _chunked_text(5, 1024), b"",
         b"# no header\n" * 8, b"#" * 200, b"P 1\n" + b"R 00000000 00000004\n" * 20,
-        b"P 1\n" + b"#" * 200 + b"\nI 00000004"],
-        ids=["chunked", "empty", "comments", "long-comment", "ends-at-a-read", "long-line"])
+        b"P 1\n" + b"#" * 200 + b"\nI 00000004",
+        b"P 1\nX 2\nI 00000000\n" + b"I 00000004\n" * 20 + b"X 1\n",
+        b"P 1\nX 2\nI 00000000\n" + b"# comment\n" * 20 + b"I 00000004\nX 1\n"],
+        ids=["chunked", "empty", "comments", "long-comment", "ends-at-a-read", "long-line",
+             "plain-reads", "comment-reads"])
     def test_load_streams_the_scanned_items(self, text, tmp_path, monkeypatch):
         monkeypatch.setattr(trace_mod, "SCAN_CHUNK", 64)
         path = tmp_path / "t.trace"

@@ -2,14 +2,16 @@
 
 Every generator is a pure function of its spec: the same seed yields the
 same trace bytes.  Draws are `random.Random(seed)`'s, taken through
-`_below`.  `gen_benign` and `gen_rop` emit a `ControlFlow`, not events: a
-plain run only moves the pc cursor and is counted on the call or return
-after it.  Each checks the misprediction structure it promised (burst run
-lengths, chain length) on the marks of `detector.replay` over that flow, so
-a generator bug cannot silently skew detection results.  The `Trace` they
-return is built from the checked flow afterwards; `benign_flow` and
-`rop_flow` return the flow and its replay instead, which is all a sweep
-needs.
+`_below`'s rejection loop.  The hot loops, `_Emitter.nest` and `_fill`, run
+that loop inline, so that a draw there costs no Python call: those draws
+are most of a sweep's generation.  `gen_benign` and `gen_rop` emit a
+`ControlFlow`, not events: a plain run only moves the pc cursor and is
+counted on the call or return after it.  Each checks the misprediction
+structure it promised (burst run lengths, chain length) on the marks of
+`detector.replay` over that flow, so a generator bug cannot silently skew
+detection results.  The `Trace` they return is built from the checked flow
+afterwards; `benign_flow` and `rop_flow` return the flow and its replay
+instead, which is all a sweep needs.
 
 Benign traces mix matched call/return activity with recursion bursts that
 overflow the stack and unwind into short runs of mispredicted returns.
@@ -46,6 +48,7 @@ USER_CODE_HI = 0xB0000000
 KERNEL_CODE_LO = KERNEL_BASE
 KERNEL_CODE_HI = 0xFFFFFF00
 _TARGETS = (USER_CODE_HI - USER_CODE_LO + 15) // 16  # number of 16-byte aligned call targets
+_TARGET_BITS = _TARGETS.bit_length()
 
 SPARSE_MIN_GAP = 11
 SPARSE_MAX_GAP = 40
@@ -117,7 +120,9 @@ def _miss_runs(replayed: Replay) -> list[int]:
 
 def _below(getrandbits, n: int) -> int:
     """A draw in [0, n): CPython's `Random._randbelow_with_getrandbits`, so
-    ``lo + _below(rng.getrandbits, hi - lo + 1)`` is ``rng.randint(lo, hi)``."""
+    ``lo + _below(rng.getrandbits, hi - lo + 1)`` is ``rng.randint(lo, hi)``.
+    `_Emitter.nest` and `_fill` inline this loop, with `k` worked out once per
+    call, so that their draws cost no Python call; they must stay in step."""
     k = n.bit_length()
     r = getrandbits(k)
     while r >= n:
@@ -159,24 +164,33 @@ class _Emitter:
         self.jump = (len(self.items), self.run, pc)
         self.pc = pc
 
-    def nest(self, depth: int, _frame: tuple[int, int] = (0, 3),
-             _unwind: tuple[int, int] = (0, 3)) -> None:
+    def nest(self, depth: int, _frames: int = 4, _unwind: tuple[int, int] = (0, 3)) -> None:
         """A balanced call/return nest: `depth` calls, each to a drawn target
-        and followed by `_frame` plains, then the returns in reverse, each
-        preceded by `_unwind` plains."""
+        and followed by [0, `_frames`) plains, then the returns in reverse,
+        each preceded by `_unwind` = (lo, hi) plains.  Draws are `_below`'s
+        loop, inlined."""
         bits, append, add_target = self.bits, self.items.append, self.targets.append
-        (frame_lo, frame_hi), (unwind_lo, unwind_hi) = _frame, _unwind
+        unwind_lo, unwinds = _unwind[0], _unwind[1] - _unwind[0] + 1
+        frame_k, unwind_k = _frames.bit_length(), unwinds.bit_length()
         pc, run, count, returns = self.pc, self.run, self.count + 2 * depth, []
         for _ in range(depth):
-            target = USER_CODE_LO + 16 * _below(bits, _TARGETS)
+            r = bits(_TARGET_BITS)
+            while r >= _TARGETS:
+                r = bits(_TARGET_BITS)
+            target = USER_CODE_LO + 16 * r
             returns.append(pc + 4)
             append((run, CALL, pc, returns[-1]))  # the matching RETURN shares the int
             add_target(target)
-            run = frame_lo + _below(bits, frame_hi - frame_lo + 1)
+            run = bits(frame_k)
+            while run >= _frames:
+                run = bits(frame_k)
             pc = target + 4 * run if run else target  # an unmoved cursor keeps its int
             count += run
         for ret in reversed(returns):
-            n = unwind_lo + _below(bits, unwind_hi - unwind_lo + 1)
+            n = bits(unwind_k)
+            while n >= unwinds:
+                n = bits(unwind_k)
+            n += unwind_lo
             count += n
             append((run + n, RETURN, pc + 4 * n if n else pc, ret))
             pc, run = ret, 0
@@ -218,6 +232,25 @@ class _Emitter:
             if enabled:
                 gc.enable()
         return Trace(1, events)
+
+
+def _fill(em: _Emitter, coin, stop: int, p_nest: float, depths: int, lo: int,
+          runs: int) -> None:
+    """Emit until `stop` instructions: on each `coin() < p_nest` a nest
+    1 + [0, `depths`) deep, else a run of `lo` + [0, `runs`) plains."""
+    bits, nest, plains = em.bits, em.nest, em.plains
+    depth_k, run_k = depths.bit_length(), runs.bit_length()
+    while em.count < stop:
+        if coin() < p_nest:
+            r = bits(depth_k)
+            while r >= depths:
+                r = bits(depth_k)
+            nest(1 + r)
+        else:
+            r = bits(run_k)
+            while r >= runs:
+                r = bits(run_k)
+            plains(lo + r)
 
 
 # -- benign traces ------------------------------------------------------------
@@ -274,31 +307,22 @@ def _benign(spec: BenignSpec) -> tuple[_Emitter, Replay]:
 
     # Worst-case burst cost (every draw at its maximum) bounds feasibility;
     # 64 instructions per segment are reserved for block-granularity slack.
-    burst_cost = sum((spec.ras_capacity + k) * (3 + gap_hi)
-                     for k, _, gap_hi in plan)
+    burst_cost = sum((spec.ras_capacity + k) * (3 + gap_hi) for k, _, gap_hi in plan)
     usable = total - burst_cost - 64 * (len(plan) + 1)
     if plan and usable < (len(plan) + 1) * 16:
-        raise GenerationError(
-            "total_instructions too small for the requested bursts")
+        raise GenerationError("total_instructions too small for the requested bursts")
     segment_target = usable // (len(plan) + 1) if plan else 0
-
-    def fill(stop: int) -> None:
-        while em.count < stop:
-            if rng.random() < 0.4:
-                em.nest(1 + _below(bits, nest_cap))
-            else:
-                em.plains(4 + _below(bits, 37))
 
     for k, gap_lo, gap_hi in plan:
         stop = em.count + segment_target
         # A nest leads every filler segment so any interval spanning two
         # bursts picks up correctly predicted returns.
         em.nest(1 + _below(bits, nest_cap))
-        fill(stop)
+        _fill(em, rng.random, stop, 0.4, nest_cap, 4, 37)
         # Recursion `capacity + k` deep: the unwind mispredicts exactly k times.
-        em.nest(spec.ras_capacity + k, _frame=(0, 1), _unwind=(gap_lo, gap_hi))
+        em.nest(spec.ras_capacity + k, _frames=2, _unwind=(gap_lo, gap_hi))
     # Exact tail fill: land on the requested instruction count.
-    fill(total - 64)
+    _fill(em, rng.random, total - 64, 0.4, nest_cap, 4, 37)
     em.plains(total - em.count)
     em.close()
 
@@ -306,8 +330,7 @@ def _benign(spec: BenignSpec) -> tuple[_Emitter, Replay]:
     runs = sorted(_miss_runs(replayed))
     expected = sorted(k for k, _, _ in plan)
     if runs != expected:
-        raise AssertionError(
-            f"benign generator produced runs {runs}, planned {expected}")
+        raise AssertionError(f"benign generator produced runs {runs}, planned {expected}")
     if em.count != total:
         raise AssertionError("benign generator missed the instruction target")
     return em, replayed
@@ -344,12 +367,7 @@ def _rop(spec: RopSpec) -> tuple[_Emitter, Replay]:
             raise GenerationError("gadget sizes must be >= 1")
 
     em = _Emitter(bits)
-    nest_cap = 6
-    while em.count < spec.prologue:
-        if rng.random() < 0.5:
-            em.nest(1 + _below(bits, nest_cap))
-        else:
-            em.plains(2 + _below(bits, 19))
+    _fill(em, rng.random, spec.prologue, 0.5, 6, 2, 19)
 
     # Alignment knob: benign mispredicted returns right before the chain
     # shift where interval boundaries fall inside it.  The prologue is

@@ -285,9 +285,10 @@ class TestChunks:
                                         b"Z 00000000", b"I_0000000a",
                                         b"C 00000000 00000004 0000008",
                                         b"R 00000000 00000004 00000008"])
-    def test_bad_record_in_the_second_chunk(self, record):
-        text = _chunked_text(5)
-        at = text.index(b"\nI ", trace_mod.SCAN_CHUNK + 1000) + 1
+    def test_bad_record_in_the_second_chunk(self, record, monkeypatch):
+        monkeypatch.setattr(trace_mod, "SCAN_CHUNK", 1024)
+        text = _chunked_text(5, 1024)
+        at = text.index(b"\nI ", trace_mod.SCAN_CHUNK + 100) + 1
         bad = text[:at] + record + text[text.index(b"\n", at):]  # replaces one I line
         line = text.count(b"\n", 0, at) + 1
         scanned = _scanned(bad)

@@ -2,12 +2,12 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ropsim import workload
-from ropsim.detector import DEFAULT_CAPACITY, replay, run
-from ropsim.trace import (KERNEL_BASE, Call, Plain, PrivilegeLevel, Return,
+from ropsim.detector import DEFAULT_CAPACITY, DetectorConfig, replay, run
+from ropsim.trace import (CALL, KERNEL_BASE, Call, Plain, PrivilegeLevel, Return,
                           Switch, Trace, control_flow, parse_trace,
                           serialize_trace)
 from ropsim.workload import (GAP_PROFILES, BenignSpec, GenerationError,
@@ -154,6 +154,39 @@ class TestRopGenerator:
         trace = gen_rop(RopSpec(chain_length=4, prologue=500, seed=2))
         # Prologue plus 4 small gadgets plus any alignment padding.
         assert instruction_count(trace) >= 500 + 4
+
+
+@st.composite
+def chains_within_t_i(draw):
+    """A detector cell with `t_i >= 4`, and a chain whose gadgets all fit in `t_i`."""
+    t_m = draw(st.integers(1, 12))
+    t_i = draw(st.integers(4, 254 // t_m))
+    g = draw(st.integers(1, 3 * t_m))
+    spec = RopSpec(chain_length=g, gadget_sizes=draw(st.lists(st.integers(1, t_i),
+                                                              min_size=g, max_size=g)),
+                   prologue=draw(st.integers(1, 200)),
+                   alignment_offset=draw(st.integers(0, 2 * t_m)),
+                   address_region=draw(st.sampled_from(PrivilegeLevel)),
+                   seed=draw(st.integers(0, 2**32 - 1)))
+    return DetectorConfig(t_m=t_m, t_i=t_i), spec
+
+
+class TestCountCondition:
+    """With every gadget within `t_i` and a call in the prologue, a generated
+    chain is flagged exactly when it brings `2 * t_m` mispredicted returns.
+    The prologue's predicted returns push the first interval's `n_r` above
+    `t_m`; each later interval holds only gadgets and alignment returns,
+    which carry 2-4 instructions, so its instructions are within `t_i * t_m`."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(chains_within_t_i())
+    def test_flagged_exactly_from_two_intervals_of_misses(self, case):
+        cfg, spec = case
+        flow, replayed = rop_flow(spec)
+        # The chain and the alignment returns hold no call: any is the prologue's.
+        assume(any(kind == CALL for _, kind, _, _ in flow.items))
+        flagged = not run(replayed, cfg).clean
+        assert flagged == (spec.alignment_offset + spec.chain_length >= 2 * cfg.t_m)
 
 
 def pc_breaks(trace):

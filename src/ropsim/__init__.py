@@ -13,7 +13,7 @@ from .detector import (DEFAULT_CAPACITY, ClosedBy, DetectionReport,
 from .trace import (KERNEL_BASE, Call, ControlFlow, Plain, PrivilegeLevel,
                     Return, Switch, Trace, TraceEvent, TraceParseError,
                     classify_address, control_flow, load_trace, parse_trace,
-                    scan_trace, serialize_trace)
+                    serialize_trace)
 from .workload import (BenignSpec, GenerationError, InterleaveSpec, RopSpec,
                        gen_benign, gen_rop, interleave, replay_mispredictions)
 
@@ -24,7 +24,7 @@ __all__ = [
     "PrivilegeLevel", "Plain", "Call", "Return", "Switch", "Trace",
     "TraceEvent", "TraceParseError", "classify_address", "parse_trace",
     "serialize_trace", "load_trace", "ControlFlow", "control_flow",
-    "scan_trace", "DetectorConfig", "DetectionReport",
+    "DetectorConfig", "DetectionReport",
     "RopDetected", "IntervalRecord", "ClosedBy", "run", "Replay", "replay",
     "BenignSpec", "RopSpec", "InterleaveSpec", "GenerationError",
     "gen_benign", "gen_rop", "interleave", "replay_mispredictions",

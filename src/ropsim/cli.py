@@ -67,6 +67,16 @@ def _write_out(pieces: Iterable[str], out: str | None) -> int:
     return EXIT_CLEAN
 
 
+def _write_trace(generate, spec, out: str | None) -> int:
+    """Write the trace `generate(spec)` as `_write_out` does, or fail on its
+    `GenerationError`."""
+    try:
+        trace = generate(spec)
+    except GenerationError as exc:
+        return _fail(str(exc))
+    return _write_out(_serialized(trace), out)
+
+
 def _detector_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tm", type=int, default=6, metavar="N",
                         help="mispredicted returns per monitor interval (default 6)")
@@ -145,11 +155,7 @@ def cmd_gen_normal(args) -> int:
                       mispredict_burst_count=args.bursts,
                       gap_profile=args.gap_profile,
                       seed=args.seed)
-    try:
-        trace = gen_benign(spec)
-    except GenerationError as exc:
-        return _fail(str(exc))
-    return _write_out(_serialized(trace), args.out)
+    return _write_trace(gen_benign, spec, args.out)
 
 
 def cmd_gen_rop(args) -> int:
@@ -163,11 +169,7 @@ def cmd_gen_rop(args) -> int:
     spec = RopSpec(chain_length=args.chain_length, gadget_sizes=sizes,
                    prologue=args.prologue, alignment_offset=args.offset,
                    address_region=region, seed=args.seed)
-    try:
-        trace = gen_rop(spec)
-    except GenerationError as exc:
-        return _fail(str(exc))
-    return _write_out(_serialized(trace), args.out)
+    return _write_trace(gen_rop, spec, args.out)
 
 
 def cmd_interleave(args) -> int:
@@ -189,15 +191,10 @@ def cmd_interleave(args) -> int:
     try:
         parts = [(int(pid), parse_trace(Path(path).read_bytes()))
                  for pid, path in sorted(doc["parts"].items(), key=lambda kv: int(kv[0]))]
-    except (OSError, TraceParseError, TypeError, ValueError) as exc:
+    except (OSError, TraceParseError, ValueError) as exc:
         return _fail(f"bad spec: {exc}")
     schedule = [(pid, count) for pid, count in doc["schedule"]]
-    spec = InterleaveSpec(parts=parts, schedule=schedule)
-    try:
-        trace = interleave(spec)
-    except GenerationError as exc:
-        return _fail(str(exc))
-    return _write_out(_serialized(trace), args.out)
+    return _write_trace(interleave, InterleaveSpec(parts=parts, schedule=schedule), args.out)
 
 
 def cmd_detect(args) -> int:

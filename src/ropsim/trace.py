@@ -21,13 +21,13 @@ pieces, and `ropsim gen-*` and `interleave` write the same pieces out as
 they come, so no more than one chunk's line strings are ever held.
 
 The detector reads a trace as its `ControlFlow`, which `control_flow`
-derives from a `Trace` and `scan_trace` reads from the text with numpy,
-one chunk of lines at a time: lines are found by their newlines, plain
-lines (most of any trace) are checked in one pass and only counted, and
-the other lines are classed by their first byte, calls and returns checked
-by the widths and offsets in the parser's field table, and only the two
-addresses an item carries decoded.  `load_trace` scans a file chunk by
-chunk as its flow's items are read, once.
+derives from a `Trace` and `load_trace` scans from a file with numpy, one
+chunk of lines at a time, as the items are read: lines are found by their
+newlines, plain lines (most of any trace) are checked in one pass and only
+counted, other lines are classed by their first byte, calls and returns are
+checked by the widths and offsets in the parser's field table, and only the
+addresses an item carries are decoded.  On text that fails a check,
+`parse_trace`'s checks run over the file a line at a time for its error.
 
 Event objects are plain mutable-slot containers but are treated as
 immutable values everywhere in this package.
@@ -36,10 +36,10 @@ immutable values everywhere in this package.
 from __future__ import annotations
 
 import enum
-import io
 import re
 from contextlib import suppress
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from typing import Iterable, Union
 
@@ -91,10 +91,11 @@ CALL, RETURN, SWITCH, END = 3, 5, 6, 0
 
 @dataclass(slots=True)
 class ControlFlow:
-    """Items `(n, CALL, pc, return_addr)`, `(n, RETURN, pc, actual_target)`
+    """Items `(n, CALL, 0, return_addr)`, `(n, RETURN, pc, actual_target)`
     and `(n, SWITCH, next_pid, 0)`, in trace order, each after `n` plain
     instructions, then `(n, END, 0, 0)` for the `n` after the last of them:
-    a list, or from `load_trace` an iterator that is read once.
+    a list, or from `load_trace` an iterator that is read once.  A call's
+    pc is 0: the return-address stack reads only its return address.
     """
     initial_process: int
     items: Iterable[tuple[int, int, int, int]]
@@ -158,17 +159,26 @@ def _parse_pid(lineno: int, digits: str) -> int:
 def parse_trace(text: Union[str, bytes]) -> Trace:
     """Parse the text trace format; inverse of :func:`serialize_trace`."""
     if isinstance(text, bytes):
-        try:
-            text = text.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise TraceParseError(text.count(b"\n", 0, exc.start) + 1,
-                                  f"non-ASCII byte {text[exc.start]:#04x}") from None
+        text = _ascii(text)
+    events = _events(text.split("\n"))
+    return Trace(next(events), list(events))
 
+
+def _ascii(data: bytes, line: int = 1) -> str:
+    """`data` decoded, or the error for its first non-ASCII byte; `data` starts on `line`."""
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise TraceParseError(line + data.count(b"\n", 0, exc.start),
+                              f"non-ASCII byte {data[exc.start]:#04x}") from None
+
+
+def _events(lines: Iterable[str]):
+    """Yield the header's pid, then the event of each record of `lines` (each
+    without its newline), or raise the error for the first line that fails a check."""
     initial: int | None = None
-    events: list[TraceEvent] = []
-    append = events.append
     match = _RECORD.fullmatch
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line or line[0] == "#":
             continue
         m = match(line)
@@ -180,20 +190,19 @@ def parse_trace(text: Union[str, bytes]) -> Trace:
             if initial is not None:
                 raise TraceParseError(lineno, "duplicate header record")
             initial = _parse_pid(lineno, m[8])
-            continue
-        if initial is None:
+            yield initial
+        elif initial is None:
             raise TraceParseError(lineno, "missing 'P <pid>' header record")
-        if kind == 1:
-            append(Plain(int(m[1], 16)))
+        elif kind == 1:
+            yield Plain(int(m[1], 16))
         elif kind == 4:
-            append(Call(int(m[2], 16), int(m[3], 16), int(m[4], 16)))
+            yield Call(int(m[2], 16), int(m[3], 16), int(m[4], 16))
         elif kind == 6:
-            append(Return(int(m[5], 16), int(m[6], 16)))
+            yield Return(int(m[5], 16), int(m[6], 16))
         else:
-            append(Switch(_parse_pid(lineno, m[7])))
+            yield Switch(_parse_pid(lineno, m[7]))
     if initial is None:
         raise TraceParseError(1, "missing 'P <pid>' header record")
-    return Trace(initial, events)
 
 
 def serialize_trace(trace: Trace) -> str:
@@ -236,7 +245,7 @@ def control_flow(trace: Trace) -> ControlFlow:
             plains += 1
             continue
         if cls is Call:
-            append((plains, CALL, ev.pc, ev.return_addr))
+            append((plains, CALL, 0, ev.return_addr))
         elif cls is Return:
             append((plains, RETURN, ev.pc, ev.actual_target))
         else:
@@ -246,26 +255,25 @@ def control_flow(trace: Trace) -> ControlFlow:
     return ControlFlow(trace.initial_process, items)
 
 
-def scan_trace(data: bytes) -> ControlFlow:
-    """`control_flow(parse_trace(data))`; on text that fails a check,
-    `parse_trace` runs on it to raise the same `TraceParseError`."""
-    parts = _checked(lambda: io.BytesIO(data))
-    return ControlFlow(next(parts), list(chain.from_iterable(parts)))
-
-
 def load_trace(path) -> ControlFlow:
-    """`scan_trace` of a file, read as its one-pass `items` are consumed."""
-    parts = _checked(lambda: open(path, "rb"))
+    """`control_flow(parse_trace(...))` of a file, scanned as its one-pass `items` are read."""
+    parts = _checked(path)
     return ControlFlow(next(parts), chain.from_iterable(parts))
 
 
-def _checked(open_text):
-    """`_scan`, or where the text fails a check, `parse_trace`'s error."""
-    with suppress(ValueError), open_text() as fh:
+def _checked(path):
+    """`_scan` of the file, or where that fails, `parse_trace`'s error, found in bounded
+    memory: a non-ASCII byte first, as `parse_trace` reports, then the first bad line."""
+    with suppress(ValueError), open(path, "rb") as fh:
         yield from _scan(fh)
         return
-    with open_text() as fh:
-        parse_trace(fh.read())
+    with open(path, "rb") as fh:
+        line = 1
+        for data in iter(partial(fh.read, SCAN_CHUNK), b""):
+            line += _ascii(data, line).count("\n")
+    with open(path, encoding="ascii", newline="\n") as fh:
+        for _ in _events(row.rstrip("\n") for row in fh):
+            pass
     raise AssertionError("the scanner rejected a trace that parse_trace accepts")
 
 
@@ -331,11 +339,11 @@ def _scan(fh):
 
         rank = np.flatnonzero(kinds)    # of each item among the other lines
         control, kinds = other[rank], kinds[rank]
-        first, last = np.zeros((2, len(control)), np.int64)
-        for tag, kind in ("C", CALL), ("R", RETURN):
+        first, last = columns = np.zeros((2, len(control)), np.int64)
+        for tag, kind, n in ("C", CALL, 1), ("R", RETURN, 2):   # a call's pc stays 0
             at = np.flatnonzero(kinds == kind)
-            digits = addresses(tag, control[at])[[0, -1]].tobytes().decode()
-            first[at], last[at] = np.frombuffer(bytes.fromhex(digits), ">u4").reshape(2, -1)
+            digits = addresses(tag, control[at])[-n:].tobytes().decode()
+            columns[-n:, at] = np.frombuffer(bytes.fromhex(digits), ">u4").reshape(n, -1)
         before = np.diff(control - rank, prepend=-plains)
         plains += len(tags) - len(other) - int(before.sum())
         if len(control):    # so none before the header

@@ -136,7 +136,8 @@ class _Emitter:
     A plain run only moves the cursor; its length is counted on the item
     after it.  Items do not carry call targets, so those go in `targets`,
     and `jump` records the one cursor move that is not a call or return.
-    `trace` rebuilds the events from these."""
+    `trace` rebuilds the events from these, and a call's pc, which its item
+    carries as 0, from its return address."""
 
     def __init__(self, bits):
         self.bits = bits  # a `random.Random`'s `getrandbits`
@@ -179,7 +180,7 @@ class _Emitter:
                 r = bits(_TARGET_BITS)
             target = USER_CODE_LO + 16 * r
             returns.append(pc + 4)
-            append((run, CALL, pc, returns[-1]))  # the matching RETURN shares the int
+            append((run, CALL, 0, returns[-1]))  # the matching RETURN shares the int
             add_target(target)
             run = bits(frame_k)
             while run >= _frames:
@@ -222,9 +223,9 @@ class _Emitter:
                     plains(pc, jump_after)
                     pc, n = jump_pc, n - jump_after
                 plains(pc, n)
-                if kind == CALL:
+                if kind == CALL:    # `nest` puts a call 4 bytes before its return address
                     pc = next_target()
-                    append(Call(a, pc, b))
+                    append(Call(b - 4, pc, b))
                 elif kind == RETURN:
                     append(Return(a, b))
                     pc = b

@@ -1,12 +1,15 @@
 """Shared corpus builders for the test suite."""
 
+import functools
 import os
 import random
+import tempfile
 from itertools import groupby
 from pathlib import Path
 
 import ropsim
-from ropsim.trace import Call, Plain, Return, Switch, Trace
+from ropsim.trace import (Call, ControlFlow, Plain, Return, Switch, Trace,
+                          load_trace)
 from ropsim.workload import (BenignSpec, InterleaveSpec, RopSpec, gen_benign,
                              gen_rop, interleave)
 
@@ -16,6 +19,20 @@ def package_env() -> dict[str, str]:
     src = str(Path(ropsim.__file__).resolve().parent.parent)
     path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
+@functools.cache
+def _trace_file():
+    """The temporary file that `load_bytes` rewrites; deleted at exit."""
+    return tempfile.NamedTemporaryFile(prefix="ropsim-", suffix=".trace")
+
+
+def load_bytes(data: bytes) -> ControlFlow:
+    """`load_trace` of a file holding `data`, with the items read into a list."""
+    path = Path(_trace_file().name)
+    path.write_bytes(data)
+    flow = load_trace(path)
+    return ControlFlow(flow.initial_process, list(flow.items))
 
 
 def chaos_trace(rng: random.Random) -> Trace:

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from ropsim.detector import ClosedBy, DetectorConfig, replay, run
 from ropsim.trace import (Call, Plain, PrivilegeLevel, Return, Switch, Trace,
-                          control_flow, scan_trace, serialize_trace)
+                          control_flow, serialize_trace)
 from ropsim.workload import (BenignSpec, InterleaveSpec, RopSpec, gen_benign,
                              gen_rop, interleave)
 
-from helpers import chaos_trace, split_attack_trace
+from helpers import chaos_trace, load_bytes, split_attack_trace
 from oracle import (detector_verdict_tuples, reference_intervals, reference_jsonl,
                     reference_verdicts)
 
@@ -528,7 +528,7 @@ def _assert_agrees(trace, t_m, t_i, capacity, flush, table):
                            flush_ras_on_switch=flush)
     assert run(control_flow(trace), cfg).to_jsonl() == want
     # The scanned text gives the same records as the parsed events.
-    scanned = scan_trace(serialize_trace(trace).encode("ascii"))
+    scanned = load_bytes(serialize_trace(trace).encode("ascii"))
     assert run(scanned, cfg).to_jsonl() == want
 
 

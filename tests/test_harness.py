@@ -160,6 +160,23 @@ class TestRunSweep:
         assert all(isinstance(flow, Replay) for flow in flows)
         assert len({id(flow) for flow in flows}) == 4  # traces
 
+    def test_fn_rate_is_the_share_of_chains_short_of_two_intervals(self):
+        # Every gadget fits every t_i >= 4, behind the default prologue: the
+        # count condition of the harness docstring decides each row.
+        spec = SweepSpec.from_mapping({"t_m_values": [2, 3, 4, 6], "t_i_values": [4, 6],
+                                       "g_values": [3, 5, 8, 11], "alignment_offsets": [0, 1, 3],
+                                       "gadget_size_lo": 2, "gadget_size_hi": 4,
+                                       "seeds": [0, 1]})
+        rows, summary = run_sweep(spec)
+        cells = [c for c in summary if c["kind"] == "rop"]
+        assert len(cells) == 4 * 2 * 4
+        for cell in cells:
+            mine = [r for r in rows if (r["t_m"], r["t_i"], r["g"])
+                    == (cell["t_m"], cell["t_i"], cell["g"])]
+            missed = sum(r["alignment_offset"] + r["g"] < 2 * r["t_m"] for r in mine)
+            assert cell["fn_rate"] == missed / len(mine), cell
+        assert any(0 < c["fn_rate"] < 1 for c in cells)
+
 
 def _sweep_traces(spec: SweepSpec):
     """`(trace_id, trace)` of each trace `run_sweep` evaluates, rebuilt here."""

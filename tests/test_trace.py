@@ -11,11 +11,11 @@ from ropsim.detector import DetectorConfig, run
 from ropsim.trace import (CALL, END, KERNEL_BASE, RETURN, SWITCH, Call,
                           ControlFlow, Plain, PrivilegeLevel, Return, Switch,
                           Trace, TraceParseError, classify_address,
-                          control_flow, parse_trace, scan_trace,
-                          serialize_trace)
-from ropsim.workload import BenignSpec, gen_benign
+                          control_flow, parse_trace, serialize_trace)
+from ropsim.workload import (BenignSpec, RopSpec, benign_flow, gen_benign,
+                             rop_flow)
 
-from helpers import chaos_trace
+from helpers import chaos_trace, load_bytes
 
 _ADDR = st.integers(0, 0xFFFFFFFF).map("{:08x}".format)
 _PID = st.integers(0, 10**6).map(str)
@@ -62,7 +62,7 @@ def _trace_texts(draw):
 
 def _scanned(data: bytes):
     try:
-        return scan_trace(data)
+        return load_bytes(data)
     except TraceParseError as exc:
         return exc.line, str(exc)
 
@@ -204,14 +204,23 @@ class TestControlFlow:
         trace = Trace(4, [Plain(0), Plain(4), Call(8, 0x100, 0xc), Plain(0x100),
                           Return(0x104, 0xc), Switch(5), Switch(4), Plain(0x10)])
         assert control_flow(trace) == ControlFlow(4, [
-            (2, CALL, 8, 0xc), (1, RETURN, 0x104, 0xc), (0, SWITCH, 5, 0),
+            (2, CALL, 0, 0xc), (1, RETURN, 0x104, 0xc), (0, SWITCH, 5, 0),
             (0, SWITCH, 4, 0), (1, END, 0, 0)])
 
     def test_scan_reads_the_same_items(self):
         text = b"# c\nP 4\nI 00000000\nI 00000004\nC 00000008 00000100 0000000c\n" \
             b"\n# mid\nI 00000100\nR 00000104 0000000c\nX 5\nX 4\nI 00000010"
-        assert scan_trace(text) == control_flow(parse_trace(text))
-        assert scan_trace(b"P 0") == ControlFlow(0, [(0, END, 0, 0)])
+        assert load_bytes(text) == control_flow(parse_trace(text))
+        assert load_bytes(b"P 0") == ControlFlow(0, [(0, END, 0, 0)])
+
+    def test_call_items_carry_no_pc(self):
+        # The predictor reads only a call's return address.
+        spec = BenignSpec(total_instructions=2000, mispredict_burst_count=1, seed=1)
+        trace = gen_benign(spec)
+        for flow in (control_flow(trace), load_bytes(serialize_trace(trace).encode()),
+                     benign_flow(spec)[0], rop_flow(RopSpec())[0]):
+            calls = [item for item in flow.items if item[1] == CALL]
+            assert calls and {pc for _, _, pc, _ in calls} == {0}
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(text=_trace_texts())
@@ -230,15 +239,6 @@ class TestControlFlow:
     def test_scanner_and_parser_accept_the_same_language(self, text):
         # Same items on accepted text; the same line and message on rejected text.
         assert _scanned(text) == _parsed(text)
-
-
-def _loaded(path):
-    """`_scanned` of a file, through `load_trace`'s one-pass items."""
-    try:
-        flow = trace_mod.load_trace(path)
-        return ControlFlow(flow.initial_process, list(flow.items))
-    except TraceParseError as exc:
-        return exc.line, str(exc)
 
 
 @functools.cache
@@ -277,7 +277,7 @@ class TestChunks:
             start = text.rfind(b"\n", start, end) + 1 or text.index(b"\n", end) + 1
             before = text.rfind(b"\n", 0, start - 1) + 1
             assert text[before] in b"\n#" and text[start] in b"\n#", start
-        flow = scan_trace(text)
+        flow = load_bytes(text)
         assert flow == control_flow(parse_trace(text))
         assert {kind for _, kind, _, _ in flow.items} == {CALL, RETURN, SWITCH, END}
 
@@ -306,11 +306,9 @@ class TestChunks:
         b"P 1\nX 2\nI 00000000\n" + b"# comment\n" * 20 + b"I 00000004\nX 1\n"],
         ids=["chunked", "empty", "comments", "long-comment", "ends-at-a-read", "long-line",
              "plain-reads", "comment-reads"])
-    def test_load_streams_the_scanned_items(self, text, tmp_path, monkeypatch):
+    def test_load_streams_the_scanned_items(self, text, monkeypatch):
         monkeypatch.setattr(trace_mod, "SCAN_CHUNK", 64)
-        path = tmp_path / "t.trace"
-        path.write_bytes(text)
-        assert _loaded(path) == _scanned(text) == _parsed(text)
+        assert _scanned(text) == _parsed(text)
 
     @pytest.mark.parametrize("record", [b"I 0000000G", b"P 12345678", b"X 01234567",
                                         b"Z 00000000"])
@@ -336,22 +334,31 @@ class TestChunks:
             run(flow)
 
     def test_load_runs_in_bounded_memory(self, tmp_path, monkeypatch):
-        # The peak must not grow with the trace: the same body once and ten times.
+        # The peak must not grow with the trace: the same body once and ten
+        # times, and ten times with a bad last line, read to report it.
         monkeypatch.setattr(trace_mod, "SCAN_CHUNK", 2048)
         body = serialize_trace(gen_benign(BenignSpec(
             total_instructions=600, mispredict_burst_count=0, seed=3))).encode()
-        scan_trace(body)    # numpy is imported before the peaks are traced
-        peaks = []
-        for copies in (1, 10):
-            path = tmp_path / f"x{copies}.trace"
-            path.write_bytes(body + body[body.index(b"\n") + 1:] * (copies - 1))
+        bad = b"I 0000000G\n"
+        # Both paths run once before the peaks are traced, to import numpy
+        # and make what the error path makes only the first time.
+        load_bytes(body)
+        with pytest.raises(TraceParseError):
+            load_bytes(body + bad)
+        peaks, errors = [], []
+        for copies, last in (1, b""), (10, b""), (10, bad):
+            path = tmp_path / f"x{copies}{len(last)}.trace"
+            path.write_bytes(body + body[body.index(b"\n") + 1:] * (copies - 1) + last)
             tracemalloc.start()
             try:
                 run(trace_mod.load_trace(path))
-                peaks.append(tracemalloc.get_traced_memory()[1])
+            except TraceParseError as exc:
+                errors.append(exc.line)
             finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
                 tracemalloc.stop()
-        assert peaks[1] - peaks[0] < 16 << 10, peaks
+        assert errors == [path.read_bytes().count(b"\n")]    # the bad last line's
+        assert max(peaks) - peaks[0] < 16 << 10, peaks
 
 
 class TestRoundTrip:
@@ -362,7 +369,7 @@ class TestRoundTrip:
         again = parse_trace(text)
         assert again == trace
         assert serialize_trace(again) == text
-        assert scan_trace(text.encode("ascii")) == control_flow(trace)
+        assert load_bytes(text.encode("ascii")) == control_flow(trace)
 
     def test_chaos_traces_round_trip(self):
         rng = random.Random(99)

@@ -160,7 +160,7 @@ def cmd_gen_normal(args) -> int:
 
 def cmd_gen_rop(args) -> int:
     sizes = None
-    if args.gadget_sizes:
+    if args.gadget_sizes is not None:
         try:
             sizes = [int(tok) for tok in args.gadget_sizes.split(",")]
         except ValueError:

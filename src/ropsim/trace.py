@@ -26,8 +26,8 @@ chunk of lines at a time, as the items are read: lines are found by their
 newlines, plain lines (most of any trace) are checked in one pass and only
 counted, other lines are classed by their first byte, calls and returns are
 checked by the widths and offsets in the parser's field table, and only the
-addresses an item carries are decoded.  On text that fails a check,
-`parse_trace`'s checks run over the file a line at a time for its error.
+addresses an item carries are decoded.  The file is read once: where a chunk
+fails a check, `parse_trace`'s error is found from that chunk on.
 
 Event objects are plain mutable-slot containers but are treated as
 immutable values everywhere in this package.
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import enum
 import re
-from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
@@ -173,12 +172,12 @@ def _ascii(data: bytes, line: int = 1) -> str:
                               f"non-ASCII byte {data[exc.start]:#04x}") from None
 
 
-def _events(lines: Iterable[str]):
+def _events(lines: Iterable[str], start: int = 1, initial: int | None = None):
     """Yield the header's pid, then the event of each record of `lines` (each
-    without its newline), or raise the error for the first line that fails a check."""
-    initial: int | None = None
+    without its newline), or raise the error for the first line that fails a check.
+    `lines` start on line `start`, after a header of pid `initial` unless that is None."""
     match = _RECORD.fullmatch
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(lines, start):
         if not line or line[0] == "#":
             continue
         m = match(line)
@@ -256,25 +255,9 @@ def control_flow(trace: Trace) -> ControlFlow:
 
 
 def load_trace(path) -> ControlFlow:
-    """`control_flow(parse_trace(...))` of a file, scanned as its one-pass `items` are read."""
-    parts = _checked(path)
+    """`control_flow(parse_trace(...))` of a file, read once as its one-pass `items` are read."""
+    parts = _scan(path)
     return ControlFlow(next(parts), chain.from_iterable(parts))
-
-
-def _checked(path):
-    """`_scan` of the file, or where that fails, `parse_trace`'s error, found in bounded
-    memory: a non-ASCII byte first, as `parse_trace` reports, then the first bad line."""
-    with suppress(ValueError), open(path, "rb") as fh:
-        yield from _scan(fh)
-        return
-    with open(path, "rb") as fh:
-        line = 1
-        for data in iter(partial(fh.read, SCAN_CHUNK), b""):
-            line += _ascii(data, line).count("\n")
-    with open(path, encoding="ascii", newline="\n") as fh:
-        for _ in _events(row.rstrip("\n") for row in fh):
-            pass
-    raise AssertionError("the scanner rejected a trace that parse_trace accepts")
 
 
 def _require(ok) -> None:
@@ -282,10 +265,10 @@ def _require(ok) -> None:
         raise ValueError("not a canonical trace")
 
 
-def _scan(fh):
-    """Yield the header's pid, then the items of each chunk, then END's.  A chunk
-    is the next `SCAN_CHUNK` bytes up to their last newline, or else one line.
-    An item's plain run is its line index less its rank among the other lines."""
+def _scan(path):
+    """Yield the header's pid, each chunk's items, then END's, or raise `parse_trace`'s error.
+    A chunk is the next `SCAN_CHUNK` bytes of `path` up to their last newline, or else one
+    line.  An item's plain run is its line index less its rank among the other lines."""
     import numpy as np
     kind_of = np.full(256, -1, np.int8)    # -1: not a record's first byte
     kind_of[list(b"\n#" + "".join(_FIELDS).encode())] = 0
@@ -306,50 +289,66 @@ def _scan(fh):
         _require((((digits - 48) < 10) | ((digits - 97) < 6)).all())
         return digits
 
-    initial = None
+    initial = header = None     # the header's pid, and as it was before the current chunk
     plains = 0          # plain lines since the last item
     rest = b""          # a partial line, carried into the next read
-    while data := rest + fh.read(SCAN_CHUNK - len(rest)):
-        if b"\n" not in data:   # a line longer than a read
-            data += fh.readline()
-        cut = data.rfind(b"\n") + 1 or len(data)
-        data, rest = data[:cut], data[cut:]
-        text = np.frombuffer(data, np.uint8)
-        # The 8 bytes at each offset, so that one gather reads one address.
-        words = np.ndarray((max(len(text) - 7, 0),), np.uint64, data, 0, (1,))
-        _require(text.max() < 0x80)
-        ends = np.flatnonzero(text == 10)
-        if text[-1] != 10:      # the last line of a file without a final newline
-            ends = np.append(ends, len(text))
-        starts = np.append(0, ends[:-1] + 1)
-        tags = text[starts]     # a blank line's tag is its newline
-        plain = tags == ord("I")
-        addresses("I", np.flatnonzero(plain))
-        other = np.flatnonzero(~plain)
-        kinds = kind_of[tags[other]]
-        _require((kinds >= 0).all())
+    line = 1            # the current chunk's first
+    with open(path, "rb") as fh:
+        try:
+            while data := rest + fh.read(SCAN_CHUNK - len(rest)):
+                if b"\n" not in data:   # a line longer than a read
+                    data += fh.readline()
+                cut = data.rfind(b"\n") + 1 or len(data)
+                data, rest = data[:cut], data[cut:]
+                text = np.frombuffer(data, np.uint8)
+                # The 8 bytes at each offset, so that one gather reads one address.
+                words = np.ndarray((max(len(text) - 7, 0),), np.uint64, data, 0, (1,))
+                _require(text.max() < 0x80)
+                ends = np.flatnonzero(text == 10)
+                if text[-1] != 10:      # the last line of a file without a final newline
+                    ends = np.append(ends, len(text))
+                starts = np.append(0, ends[:-1] + 1)
+                tags = text[starts]     # a blank line's tag is its newline
+                plain = tags == ord("I")
+                addresses("I", np.flatnonzero(plain))
+                other = np.flatnonzero(~plain)
+                kinds = kind_of[tags[other]]
+                _require((kinds >= 0).all())
 
-        # Only comment and blank lines, whose tags sort first, precede the header.
-        headers = other[tags[other] == ord("P")]
-        if initial is None and (tags > ord("#")).any():
-            _require(tags[(tags > ord("#")).argmax()] == ord("P"))
-            initial, headers = pid(headers[0]), headers[1:]
-            yield initial
-        _require(not len(headers))
+                # Only comment and blank lines, whose tags sort first, precede the header.
+                headers = other[tags[other] == ord("P")]
+                if initial is None and (tags > ord("#")).any():
+                    _require(tags[(tags > ord("#")).argmax()] == ord("P"))
+                    initial, headers = pid(headers[0]), headers[1:]
+                    yield initial
+                _require(not len(headers))
 
-        rank = np.flatnonzero(kinds)    # of each item among the other lines
-        control, kinds = other[rank], kinds[rank]
-        first, last = columns = np.zeros((2, len(control)), np.int64)
-        for tag, kind, n in ("C", CALL, 1), ("R", RETURN, 2):   # a call's pc stays 0
-            at = np.flatnonzero(kinds == kind)
-            digits = addresses(tag, control[at])[-n:].tobytes().decode()
-            columns[-n:, at] = np.frombuffer(bytes.fromhex(digits), ">u4").reshape(n, -1)
-        before = np.diff(control - rank, prepend=-plains)
-        plains += len(tags) - len(other) - int(before.sum())
-        if len(control):    # so none before the header
-            a = first.tolist()
-            for i in np.flatnonzero(kinds == SWITCH).tolist():
-                a[i] = pid(control[i])
-            yield zip(before.tolist(), kinds.tolist(), a, last.tolist())
-    _require(initial is not None)
-    yield [(plains, END, 0, 0)]
+                rank = np.flatnonzero(kinds)    # of each item among the other lines
+                control, kinds = other[rank], kinds[rank]
+                first, last = columns = np.zeros((2, len(control)), np.int64)
+                for tag, kind, n in ("C", CALL, 1), ("R", RETURN, 2):   # a call's pc stays 0
+                    at = np.flatnonzero(kinds == kind)
+                    digits = addresses(tag, control[at])[-n:].tobytes().decode()
+                    columns[-n:, at] = np.frombuffer(bytes.fromhex(digits), ">u4").reshape(n, -1)
+                before = np.diff(control - rank, prepend=-plains)
+                plains += len(tags) - len(other) - int(before.sum())
+                if len(control):    # so none before the header
+                    a = first.tolist()
+                    for i in np.flatnonzero(kinds == SWITCH).tolist():
+                        a[i] = pid(control[i])
+                    yield zip(before.tolist(), kinds.tolist(), a, last.tolist())
+                line += len(ends)
+                header = initial
+            _require(initial is not None)
+            yield [(plains, END, 0, 0)]
+            return
+        except ValueError:  # the error is found below, so that it chains no scanner error
+            pass
+        # Earlier chunks passed the same checks, so the first error is on one of this
+        # chunk's lines, but for a non-ASCII byte, which comes first wherever it is.
+        end = line
+        for piece in chain([data, rest], iter(partial(fh.read, SCAN_CHUNK), b"")):
+            end += _ascii(piece, end).count("\n")
+        for _ in _events(data.decode().split("\n"), line, header):
+            pass
+    raise AssertionError("the scanner rejected a trace that parse_trace accepts")

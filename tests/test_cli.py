@@ -82,8 +82,10 @@ class TestGenerate:
         assert "ras_capacity" in err
 
     def test_bad_gadget_sizes_value(self, capsys):
-        code, _, err = run_cli(["gen-rop", "--gadget-sizes", "2,x"], capsys)
-        assert code == 1
+        for sizes in "2,x", "":     # "" is a value, not an absent flag
+            code, _, err = run_cli(["gen-rop", "--gadget-sizes", sizes], capsys)
+            assert code == 1, sizes
+            assert err == f"ropsim: error: bad --gadget-sizes value {sizes!r}\n"
 
     def test_negative_counts_rejected(self, capsys):
         for argv in (["gen-rop", "--offset", "-3"],
@@ -120,6 +122,17 @@ class TestDetect:
             code, _, err = run_cli(argv, capsys)
             assert code == 1, argv
             assert f"ropsim {argv[0]}: error:" in err, argv
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--tm", "0"], "t_m must be >= 1"),
+        (["--tm", "50", "--ti", "6"], "t_i * t_m must be below 255"),
+        (["--ras-capacity", "0"], "ras_capacity must be >= 1")])
+    def test_bad_detector_config(self, flags, message, tmp_path, capsys):
+        path = tmp_path / "t.trace"
+        write_trace(Trace(1, [Plain(0)]), path)
+        code, out, err = run_cli(["detect", str(path), *flags], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"ropsim: error: {message}") and err.count("\n") == 1
 
     def test_pid_too_long_for_int_is_an_input_error(self, tmp_path, capsys):
         # int() refuses more than 4300 digits by default.
@@ -241,6 +254,17 @@ class TestInterleaveCommand:
         assert err.startswith("ropsim: error:")
         assert out == ""
 
+    def test_missing_or_incomplete_spec(self, tmp_path, capsys):
+        spec_path = tmp_path / "weave.json"
+        code, _, err = run_cli(["interleave", str(spec_path)], capsys)
+        assert code == 1
+        assert err.startswith("ropsim: error: cannot read spec: ")
+        for spec in ({"parts": {}}, {"schedule": []}, []):
+            spec_path.write_text(json.dumps(spec))
+            code, out, err = run_cli(["interleave", str(spec_path)], capsys)
+            assert (code, out) == (1, ""), spec
+            assert err == "ropsim: error: spec must contain 'parts' and 'schedule'\n", spec
+
     def test_parts_must_map_pids_to_paths(self, tmp_path, capsys):
         # Keys are pids as the trace format writes them: each of the last
         # four reads as pid 10 under int(), whose 9 events the schedule runs.
@@ -311,6 +335,12 @@ class TestScatter:
         code, _, err = run_cli(["scatter", str(d)], capsys)
         assert code == 1
 
+    def test_corpus_must_be_a_directory(self, tmp_path, capsys):
+        path = tmp_path / "benign_0.trace"
+        write_trace(Trace(1, [Plain(0)]), path)
+        code, out, err = run_cli(["scatter", str(path)], capsys)
+        assert (code, out, err) == (1, "", f"ropsim: error: not a directory: {path}\n")
+
     def test_zero_ras_capacity_rejected(self, tmp_path, capsys):
         d = self._corpus(tmp_path)
         code, _, err = run_cli(["scatter", str(d), "--ras-capacity", "0"],
@@ -368,6 +398,16 @@ class TestSweepCommand:
             assert code == 1, spec
             assert err.startswith("ropsim: error: bad sweep spec"), spec
 
+    def test_generation_error_writes_no_csv(self, tmp_path, capsys):
+        # The spec checks pass; generating a benign trace of no events fails.
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(json.dumps({"benign_count": 1, "benign_events": 0}))
+        out_dir = tmp_path / "o"
+        code, out, err = run_cli(["sweep", str(spec_path), "--out", str(out_dir)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("ropsim: error: ") and err.count("\n") == 1
+        assert not list(out_dir.iterdir())
+
     def test_bad_capacity_and_gadget_range_rejected(self, tmp_path, capsys):
         spec_path = tmp_path / "sweep.json"
         for spec in ({"ras_capacity": 0},
@@ -410,23 +450,26 @@ def test_unwritable_out_is_an_error(command, tmp_path, capsys):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_unwritable_stdout_is_an_error():
+def test_unwritable_stdout_is_an_error(tmp_path):
     """stdout on a full device, or a pipe whose reader has gone: exit 1 with
     one error line, and nothing more when Python flushes stdout at exit."""
+    trace = tmp_path / "t.trace"
+    write_trace(Trace(1, [Plain(0)]), trace)
     reader, closed_pipe = os.pipe()
     os.close(reader)
     full = os.open("/dev/full", os.O_WRONLY)
-    cases = {"Errno 28": (["gen-rop", "-G", "1", "--prologue", "0"], full),
-             "Broken pipe": (["gen-normal", "--events", "200000"], closed_pipe)}
-    try:  # both at once, so that the test takes the time of the slower one
-        procs = {name: subprocess.Popen([sys.executable, "-m", "ropsim.cli", *argv],
-                                        stdout=stdout, stderr=subprocess.PIPE,
-                                        text=True, env=package_env())
-                 for name, (argv, stdout) in cases.items()}
+    cases = [("Errno 28", ["gen-rop", "-G", "1", "--prologue", "0"], full),
+             ("Broken pipe", ["gen-normal", "--events", "200000"], closed_pipe),
+             ("Errno 28", ["detect", str(trace)], full)]
+    try:  # all at once, so that the test takes the time of the slowest one
+        procs = [(name, subprocess.Popen([sys.executable, "-m", "ropsim.cli", *argv],
+                                         stdout=stdout, stderr=subprocess.PIPE,
+                                         text=True, env=package_env()))
+                 for name, argv, stdout in cases]
     finally:
         os.close(full)
         os.close(closed_pipe)
-    for name, proc in procs.items():
+    for name, proc in procs:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 1, (name, err)
         assert err.startswith("ropsim: error: cannot write stdout: "), (name, err)

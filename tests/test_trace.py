@@ -1,4 +1,5 @@
 import functools
+import os
 import random
 import tracemalloc
 
@@ -186,6 +187,10 @@ class TestSerialize:
         out = serialize_trace(Trace(1, [Plain(0xC0000000), Return(0x4, 0xAB)]))
         assert out == "P 1\nI c0000000\nR 00000004 000000ab\n"
 
+    def test_rejects_what_is_not_an_event(self):
+        with pytest.raises(TypeError, match="not a trace event"):
+            serialize_trace(Trace(1, [object()]))
+
     def test_holds_one_chunk_of_lines_at_a_time(self, monkeypatch):
         # The text and the pieces it is joined from, but not a string per line.
         monkeypatch.setattr(trace_mod, "SERIALIZE_CHUNK", 128)
@@ -294,6 +299,33 @@ class TestChunks:
         scanned = _scanned(bad)
         assert scanned == _parsed(bad)
         assert scanned[0] == line
+
+    def test_a_bad_trace_read_through_a_pipe(self, monkeypatch):
+        # A pipe can be read only once: the error comes from the chunk that failed.
+        monkeypatch.setattr(trace_mod, "SCAN_CHUNK", 1024)
+        text = _chunked_text(5, 1024)
+        at = text.index(b"\nI ", 2 * trace_mod.SCAN_CHUNK) + 1
+        bad = text[:at] + b"I 0000000G" + text[at + 10:]
+        reader, writer = os.pipe()
+        os.set_blocking(writer, False)  # a text the pipe cannot hold fails the test, not hangs it
+        try:
+            with open(writer, "wb", buffering=0) as fh:
+                assert fh.write(bad) == len(bad)
+            with pytest.raises(TraceParseError) as exc:
+                list(trace_mod.load_trace(f"/dev/fd/{reader}").items)
+        finally:
+            os.close(reader)
+        assert (exc.value.line, str(exc.value)) == _parsed(bad)
+        assert exc.value.line == bad.count(b"\n", 0, at) + 1
+
+    def test_a_later_non_ascii_byte_comes_before_a_bad_record(self, monkeypatch):
+        # `parse_trace` reports a non-ASCII byte first, wherever it is.
+        monkeypatch.setattr(trace_mod, "SCAN_CHUNK", 1024)
+        text = _chunked_text(5, 1024)
+        at = text.index(b"\nI ", trace_mod.SCAN_CHUNK + 100) + 1
+        bad = text[:at] + b"I 0000000G" + text[at + 10:] + b"\n# caf\xc3\xa9"
+        line = bad.count(b"\n") + 1
+        assert _scanned(bad) == _parsed(bad) == (line, f"line {line}: non-ASCII byte 0xc3")
 
     # Texts of many 64-byte reads: comment-only reads before the header,
     # lines across reads, a comment longer than a read, no final newline,

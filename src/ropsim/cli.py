@@ -161,8 +161,11 @@ def cmd_gen_normal(args) -> int:
 def cmd_gen_rop(args) -> int:
     sizes = None
     if args.gadget_sizes is not None:
-        try:
-            sizes = [int(tok) for tok in args.gadget_sizes.split(",")]
+        tokens = args.gadget_sizes.split(",")
+        try:  # decimal as a pid is written: no sign, space, `_` or leading zero
+            if not all(re.fullmatch(PID_PATTERN, tok) for tok in tokens):
+                raise ValueError
+            sizes = [int(tok) for tok in tokens]    # a ValueError past `int`'s digit limit
         except ValueError:
             return _fail(f"bad --gadget-sizes value {args.gadget_sizes!r}")
     region = PrivilegeLevel.KERNEL if args.region == "kernel" else PrivilegeLevel.USER

@@ -18,7 +18,13 @@ one retired instruction; Switch counts as zero.
 
 `serialize_trace` formats `SERIALIZE_CHUNK` events at a time and joins the
 pieces, and `ropsim gen-*` and `interleave` write the same pieces out as
-they come, so no more than one chunk's line strings are ever held.
+they come, so no more than one chunk's text is ever held.  Plain, call and
+return lines each have one width, so a chunk's lines of one kind are a block
+that a single `bytes.hex` call formats from the packed addresses; the plain
+block holds a line for every event of the chunk, and each run of plain
+events is the slice of it between two other lines.  Only switch lines are
+formatted one by one, and an address outside 32 bits or a negative pid is
+an error, so every text written parses back.
 
 The detector reads a trace as its `ControlFlow`, which `control_flow`
 derives from a `Trace` and `load_trace` scans from a file with numpy, one
@@ -37,10 +43,12 @@ from __future__ import annotations
 
 import enum
 import re
+import struct
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
-from typing import Iterable, Union
+from itertools import chain, compress, count, repeat
+from operator import attrgetter, is_, is_not
+from typing import Iterable, NoReturn, Union
 
 # Split of the 32-bit virtual address space: everything at or
 # above this boundary is kernel memory.
@@ -205,32 +213,93 @@ def _events(lines: Iterable[str], start: int = 1, initial: int | None = None):
 
 
 def serialize_trace(trace: Trace) -> str:
-    """Emit the canonical text form; identical traces yield identical bytes."""
+    """Emit the canonical text form; identical traces yield identical bytes.
+    A `TypeError` for what is not an event, a `ValueError` for an address
+    outside 0..0xFFFFFFFF or a negative pid."""
     return "".join(_serialized(trace))
 
 
 def _serialized(trace: Trace):
     """Yield `serialize_trace`'s text: the header line, then the lines of
-    each `SERIALIZE_CHUNK` events, every piece ending with its newline."""
+    each `SERIALIZE_CHUNK` events, every piece ending with its newline.
+    `_hex_lines` makes a chunk's plain, call and return lines as three
+    blocks; the plain block has a line for every event, so the run of plain
+    events before another event is a slice of it.  No line makes an object
+    the garbage collector tracks: a collection started here would traverse
+    all of a freshly built trace's events."""
     yield f"P {trace.initial_process}\n"
     events = trace.events
     for start in range(0, len(events), SERIALIZE_CHUNK):
+        chunk = events[start:start + SERIALIZE_CHUNK]
+        at = list(compress(count(), map(is_not, map(_class, chunk), repeat(Plain))))
+        others = list(map(chunk.__getitem__, at))
+        kinds = list(map(_class, others))
+        try:
+            plains = _hex_lines(Plain, chunk)
+            calls = _hex_lines(Call, list(compress(others, map(is_, kinds, repeat(Call)))))
+            returns = _hex_lines(Return, list(compress(others, map(is_, kinds, repeat(Return)))))
+        except struct.error:
+            _reject(chunk)
         out = []
         append = out.append
-        for ev in events[start:start + SERIALIZE_CHUNK]:
-            cls = ev.__class__
-            if cls is Plain:
-                append(f"I {ev.pc:08x}")
-            elif cls is Call:
-                append(f"C {ev.pc:08x} {ev.target:08x} {ev.return_addr:08x}")
+        cut = c = r = 0     # offsets into the blocks of 11-, 29- and 20-character lines
+        for i, cls in zip(at, kinds):
+            append(plains[cut:11 * i])
+            cut = 11 * i + 11
+            if cls is Call:
+                append(calls[c:c + 29])
+                c += 29
             elif cls is Return:
-                append(f"R {ev.pc:08x} {ev.actual_target:08x}")
-            elif cls is Switch:
-                append(f"X {ev.next_pid}")
+                append(returns[r:r + 20])
+                r += 20
+            elif cls is Switch and chunk[i].next_pid >= 0:
+                append(f"X {chunk[i].next_pid}\n")
             else:
-                raise TypeError(f"not a trace event: {ev!r}")
-        append("")
-        yield "\n".join(out)
+                _reject(chunk)
+        append(plains[cut:])
+        # Freed before the join, so that the piece can take their memory: held
+        # across it, they left gaps among the pieces that raised the peak.
+        del chunk, at, others, kinds, plains, calls, returns
+        yield "".join(out)
+
+
+_class = attrgetter("__class__")
+# The tag and the address fields, in line order, of each event class with addresses.
+_LINES = {Plain: ("I", ("pc",)), Call: ("C", ("pc", "target", "return_addr")),
+          Return: ("R", ("pc", "actual_target"))}
+
+
+def _hex_lines(cls: type, events: list) -> str:
+    """The lines of `events` as `cls` lines: each field 8 hex digits, 0 where an
+    event lacks it, all from one `bytes.hex` call; a `struct.error` for a field
+    that is not an int in 0..0xFFFFFFFF."""
+    tag, fields = _LINES[cls]
+    n, width = len(events), len(fields)
+    if not n:
+        return ""
+    words = [0] * (width * n)
+    for k, name in enumerate(fields):
+        words[k::width] = map(getattr, events, repeat(name), repeat(0))
+    text = bytearray(struct.pack(f">{width * n}I", *words).hex(" ", 4), "ascii")
+    text[9 * width - 1::9 * width] = b"\n" * (n - 1)    # the space after each last field
+    return "{0} {1}\n".format(tag, text.decode().replace("\n", f"\n{tag} "))
+
+
+def _reject(events) -> NoReturn:
+    """Raise the error for the first of `events` that has no canonical line."""
+    for ev in events:
+        cls = ev.__class__
+        if cls is Switch:
+            ok = ev.next_pid >= 0
+        elif cls in _LINES:
+            ok = all(isinstance(v, int) and 0 <= v <= 0xFFFFFFFF
+                     for v in map(partial(getattr, ev), _LINES[cls][1]))
+        else:
+            raise TypeError(f"not a trace event: {ev!r}")
+        if not ok:
+            raise ValueError(f"cannot serialize {ev!r}: an address must be "
+                             "in 0..0xffffffff and a pid at least 0")
+    raise AssertionError("every event of the chunk has a line")
 
 
 def control_flow(trace: Trace) -> ControlFlow:

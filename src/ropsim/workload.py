@@ -205,13 +205,7 @@ class _Emitter:
     def trace(self) -> Trace:
         """The events of the closed flow."""
         events: list[TraceEvent] = []
-        append = events.append
-
-        def plains(pc: int, n: int) -> None:
-            if n > 0:  # the first shares the cursor's int: one object fewer per run
-                append(Plain(pc))
-                events.extend(map(Plain, range(pc + 4, pc + 4 * n, 4)))
-
+        append, extend = events.append, events.extend
         next_target = iter(self.targets).__next__
         jump_at, jump_after, jump_pc = self.jump or (-1, 0, 0)
         pc = USER_CODE_LO
@@ -220,9 +214,11 @@ class _Emitter:
         try:
             for i, (n, kind, a, b) in enumerate(self.items):
                 if i == jump_at:
-                    plains(pc, jump_after)
+                    extend(map(Plain, range(pc, pc + 4 * jump_after, 4)))
                     pc, n = jump_pc, n - jump_after
-                plains(pc, n)
+                if n > 0:   # the first shares the cursor's int: one object fewer per run
+                    append(Plain(pc))
+                    extend(map(Plain, range(pc + 4, pc + 4 * n, 4)))
                 if kind == CALL:    # `nest` puts a call 4 bytes before its return address
                     pc = next_target()
                     append(Call(b - 4, pc, b))

@@ -60,6 +60,27 @@ def chaos_trace(rng: random.Random) -> Trace:
     return Trace(rng.choice(pids), events)
 
 
+def reference_serialize(trace: Trace) -> str:
+    """`serialize_trace` as one f-string per event: the reference the
+    serializer's block formatting is checked against."""
+    out = [f"P {trace.initial_process}"]
+    append = out.append
+    for ev in trace.events:
+        cls = ev.__class__
+        if cls is Plain:
+            append(f"I {ev.pc:08x}")
+        elif cls is Call:
+            append(f"C {ev.pc:08x} {ev.target:08x} {ev.return_addr:08x}")
+        elif cls is Return:
+            append(f"R {ev.pc:08x} {ev.actual_target:08x}")
+        elif cls is Switch:
+            append(f"X {ev.next_pid}")
+        else:
+            raise TypeError(f"not a trace event: {ev!r}")
+    append("")
+    return "\n".join(out)
+
+
 def mispredict_runs(flags: list[bool]) -> list[int]:
     """Lengths of maximal runs of consecutive mispredicted returns."""
     return [len(list(group)) for missed, group in groupby(flags) if missed]

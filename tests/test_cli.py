@@ -82,8 +82,12 @@ class TestGenerate:
         assert "ras_capacity" in err
 
     def test_bad_gadget_sizes_value(self, capsys):
-        for sizes in "2,x", "":     # "" is a value, not an absent flag
-            code, _, err = run_cli(["gen-rop", "--gadget-sizes", sizes], capsys)
+        # "" is a value, not an absent flag; sizes are decimal as pids are
+        # written, and -G matches the count so that no length check fires.
+        for sizes in ("2,x", "", "\uff11,2", "2, 3", "+2", "2_0", " 2", "02", "9" * 5000):
+            argv = ["gen-rop", "-G", str(sizes.count(",") + 1), "--prologue", "0",
+                    "--gadget-sizes", sizes]
+            code, _, err = run_cli(argv, capsys)
             assert code == 1, sizes
             assert err == f"ropsim: error: bad --gadget-sizes value {sizes!r}\n"
 

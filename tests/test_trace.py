@@ -1,6 +1,7 @@
 import functools
 import os
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -16,7 +17,7 @@ from ropsim.trace import (CALL, END, KERNEL_BASE, RETURN, SWITCH, Call,
 from ropsim.workload import (BenignSpec, RopSpec, benign_flow, gen_benign,
                              rop_flow)
 
-from helpers import chaos_trace, load_bytes
+from helpers import chaos_trace, load_bytes, reference_serialize
 
 _ADDR = st.integers(0, 0xFFFFFFFF).map("{:08x}".format)
 _PID = st.integers(0, 10**6).map(str)
@@ -190,6 +191,36 @@ class TestSerialize:
     def test_rejects_what_is_not_an_event(self):
         with pytest.raises(TypeError, match="not a trace event"):
             serialize_trace(Trace(1, [object()]))
+
+    @pytest.mark.parametrize("event", [
+        Plain(-4), Plain(1 << 32), Return(-4, 8), Call(0, 1 << 32, 4), Switch(-1)],
+        ids=["I-negative", "I-too-large", "R-negative", "C-too-large", "X-negative"])
+    def test_rejects_a_field_out_of_range(self, event):
+        # The text would hold a line that parse_trace rejects.
+        with pytest.raises(ValueError, match=re.escape(f"cannot serialize {event!r}")):
+            serialize_trace(Trace(1, [Plain(0), Call(4, 8, 8), event, Return(12, 16)]))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    def test_equals_the_per_event_reference(self, chunk, monkeypatch):
+        # Plain runs of 0, 1 and many events between the other kinds, so that
+        # chunks hold no plain event or only plain events, and runs are cut at
+        # a chunk's edge.
+        monkeypatch.setattr(trace_mod, "SERIALIZE_CHUNK", chunk)
+        rng = random.Random(chunk)
+
+        def addr():
+            return rng.choice([0, 0xFFFFFFFF, rng.getrandbits(32)])
+
+        others = [lambda: Call(addr(), addr(), addr()), lambda: Return(addr(), addr()),
+                  lambda: Switch(rng.choice([0, 7, 10**30]))]
+        for _ in range(100):
+            events = []
+            for _ in range(rng.randrange(12)):
+                events += [Plain(addr()) for _ in range(rng.choice([0, 1, rng.randrange(2, 20)]))]
+                events.append(rng.choice(others)())
+            events += [Plain(addr()) for _ in range(rng.choice([0, 1, 9]))]
+            trace = Trace(rng.randrange(3), events)
+            assert serialize_trace(trace) == reference_serialize(trace)
 
     def test_holds_one_chunk_of_lines_at_a_time(self, monkeypatch):
         # The text and the pieces it is joined from, but not a string per line.

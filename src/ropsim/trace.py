@@ -16,22 +16,21 @@ The parser accepts only this canonical form, so every accepted record
 re-serializes to the same bytes.  Plain, Call and Return each count as
 one retired instruction; Switch counts as zero.
 
-`serialize_trace` formats `SERIALIZE_CHUNK` events at a time and joins the
-pieces, and `ropsim gen-*` and `interleave` write the same pieces out as
-they come, so no more than one chunk's text is ever held.  Plain, call and
-return lines each have one width, so a chunk's lines of one kind are a block
-that a single `bytes.hex` call formats from the packed addresses; the plain
-block holds a line for every event of the chunk, and each run of plain
-events is the slice of it between two other lines.  Only switch lines are
-formatted one by one, and an address outside 32 bits or a negative pid is
-an error, so every text written parses back.
+One table, `_LAYOUT`, states each record's class and fields by kind; the
+parser, the scanner and the serializer derive their forms from it.
+`serialize_trace` formats `SERIALIZE_CHUNK` events at a time, and `ropsim
+gen-*` and `interleave` write each chunk's piece as it comes, so no more
+than one chunk's text is ever held.  A chunk's plain, call and return lines
+are three blocks of one line width each, each from one `bytes.hex` call.
+Header and switch lines are formatted one by one and written only if the
+parser's pattern accepts them, so every text written parses back.
 
 The detector reads a trace as its `ControlFlow`, which `control_flow`
 derives from a `Trace` and `load_trace` scans from a file with numpy, one
 chunk of lines at a time, as the items are read: lines are found by their
 newlines, plain lines (most of any trace) are checked in one pass and only
 counted, other lines are classed by their first byte, calls and returns are
-checked by the widths and offsets in the parser's field table, and only the
+checked by the widths and offsets that the table gives, and only the
 addresses an item carries are decoded.  The file is read once: where a chunk
 fails a check, `parse_trace`'s error is found from that chunk on.
 
@@ -47,7 +46,7 @@ import struct
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, compress, count, repeat
-from operator import attrgetter, is_, is_not
+from operator import is_, is_not
 from typing import Iterable, NoReturn, Union
 
 # Split of the 32-bit virtual address space: everything at or
@@ -127,18 +126,30 @@ def classify_address(addr: int) -> PrivilegeLevel:
     return PrivilegeLevel.USER
 
 
-_ADDR = "[0-9a-f]{8}"
 # A pid field, also as `ropsim interleave` spec keys: decimal, no sign or leading zero.
 PID_PATTERN = "0|[1-9][0-9]*+"
-_FIELDS = {"I": (_ADDR,), "C": (_ADDR,) * 3, "R": (_ADDR,) * 2,
-           "X": (PID_PATTERN,), "P": (PID_PATTERN,)}
-# One record per line; `lastindex` of a match names the record:
-# 1 plain, 4 call, 6 return, 7 switch, 8 header.
-_RECORD = re.compile("|".join(" ".join([tag, *map("({})".format, fields)])
-                              for tag, fields in _FIELDS.items()))
+# Per field kind: its text's pattern, the format spec that writes it, and its base.
+_KINDS = {"addr": ("[0-9a-f]{8}", "08x", 16), "pid": (PID_PATTERN, "d", 10)}
+# The record layout, stated once: the class each tag's line reads as (a header's
+# is a `Trace` without events) and that class's fields in line order, by kind.
+_LAYOUT = {"I": (Plain, {"pc": "addr"}),
+           "C": (Call, {"pc": "addr", "target": "addr", "return_addr": "addr"}),
+           "R": (Return, {"pc": "addr", "actual_target": "addr"}),
+           "X": (Switch, {"next_pid": "pid"}),
+           "P": (Trace, {"initial_process": "pid"})}
+_RECORD = re.compile("|".join(
+    " ".join([tag, *("(?:{})".format(_KINDS[kind][0]) for kind in fields.values())])
+    for tag, (_, fields) in _LAYOUT.items()))
+_READ = {tag: (cls, tuple(_KINDS[kind][2] for kind in fields.values()))  # for the parser
+         for tag, (cls, fields) in _LAYOUT.items()}
+_WRITE = {cls: (tag, fields) for tag, (cls, fields) in _LAYOUT.items()}    # for the serializer
+# Each tag's form, as the parser's and the serializer's errors state it.
+_EXPECTED = {tag: "expected '{}' (addr: 8 lowercase hex digits; pid: decimal, no sign or "
+             "leading zero)".format(" ".join([tag, *map("<{}>".format, fields.values())]))
+             for tag, (_, fields) in _LAYOUT.items()}
 # Address-only records have a fixed width: tag -> (line length, address offsets).
 _FIXED = {tag: (1 + 9 * len(fields), range(2, 9 * len(fields), 9))
-          for tag, fields in _FIELDS.items() if set(fields) == {_ADDR}}
+          for tag, (_, fields) in _LAYOUT.items() if set(fields.values()) == {"addr"}}
 # Bytes of text the scanner takes at a time, up to the last newline in them.
 SCAN_CHUNK = 1 << 18
 # Events whose lines the serializer formats and hands on at a time, so that
@@ -146,29 +157,12 @@ SCAN_CHUNK = 1 << 18
 SERIALIZE_CHUNK = 1 << 15
 
 
-def _bad_record(lineno: int, line: str) -> TraceParseError:
-    tag = line.split(" ", 1)[0]
-    if tag not in _FIELDS:
-        return TraceParseError(lineno, f"unknown event tag {tag!r}")
-    form = " ".join([tag, *("<pid>" if f is PID_PATTERN else "<addr>" for f in _FIELDS[tag])])
-    return TraceParseError(
-        lineno, f"bad record {line!r}: expected '{form}' (addr: 8 "
-        "lowercase hex digits; pid: decimal, no sign or leading zero)")
-
-
-def _parse_pid(lineno: int, digits: str) -> int:
-    try:
-        return int(digits)
-    except ValueError:  # more digits than `int` converts
-        raise TraceParseError(lineno, f"process id of {len(digits)} digits is too long") from None
-
-
 def parse_trace(text: Union[str, bytes]) -> Trace:
     """Parse the text trace format; inverse of :func:`serialize_trace`."""
     if isinstance(text, bytes):
         text = _ascii(text)
-    events = _events(text.split("\n"))
-    return Trace(next(events), list(events))
+    records = _events(text.split("\n"))
+    return Trace(next(records).initial_process, list(records))
 
 
 def _ascii(data: bytes, line: int = 1) -> str:
@@ -180,60 +174,63 @@ def _ascii(data: bytes, line: int = 1) -> str:
                               f"non-ASCII byte {data[exc.start]:#04x}") from None
 
 
-def _events(lines: Iterable[str], start: int = 1, initial: int | None = None):
-    """Yield the header's pid, then the event of each record of `lines` (each
+def _events(lines: Iterable[str], start: int = 1, headed: bool = False):
+    """Yield the header's `Trace`, then the event of each record of `lines` (each
     without its newline), or raise the error for the first line that fails a check.
-    `lines` start on line `start`, after a header of pid `initial` unless that is None."""
+    `lines` start on line `start`, after a header if `headed`."""
     match = _RECORD.fullmatch
     for lineno, line in enumerate(lines, start):
         if not line or line[0] == "#":
             continue
-        m = match(line)
-        if m is None:
-            raise _bad_record(lineno, line)
-        kind = m.lastindex
-        if kind == 8:
+        tag, _, text = line.partition(" ")
+        if match(line) is None:
+            if tag not in _READ:
+                raise TraceParseError(lineno, f"unknown event tag {tag!r}")
+            raise TraceParseError(lineno, f"bad record {line!r}: {_EXPECTED[tag]}")
+        cls, bases = _READ[tag]
+        if cls is Trace:
             # Events need a header before them, so a second one is a duplicate.
-            if initial is not None:
+            if headed:
                 raise TraceParseError(lineno, "duplicate header record")
-            initial = _parse_pid(lineno, m[8])
-            yield initial
-        elif initial is None:
+            headed = True
+        elif not headed:
             raise TraceParseError(lineno, "missing 'P <pid>' header record")
-        elif kind == 1:
-            yield Plain(int(m[1], 16))
-        elif kind == 4:
-            yield Call(int(m[2], 16), int(m[3], 16), int(m[4], 16))
-        elif kind == 6:
-            yield Return(int(m[5], 16), int(m[6], 16))
-        else:
-            yield Switch(_parse_pid(lineno, m[7]))
-    if initial is None:
+        try:
+            if len(bases) == 1:     # as most lines are: one `int` costs less than a `map`
+                record = cls(int(text, bases[0]))
+            else:
+                record = cls(*map(int, text.split(" "), bases))
+        except ValueError:  # a pid of more digits than `int` converts: the longest field
+            raise TraceParseError(lineno, f"process id of {max(map(len, text.split()))} "
+                                  "digits is too long") from None
+        yield record
+    if not headed:
         raise TraceParseError(1, "missing 'P <pid>' header record")
 
 
 def serialize_trace(trace: Trace) -> str:
     """Emit the canonical text form; identical traces yield identical bytes.
-    A `TypeError` for what is not an event, a `ValueError` for an address
-    outside 0..0xFFFFFFFF or a negative pid."""
+    A `TypeError` for what is not an event, a `ValueError` for a header or
+    an event whose line `parse_trace` would reject."""
     return "".join(_serialized(trace))
 
 
 def _serialized(trace: Trace):
     """Yield `serialize_trace`'s text: the header line, then the lines of
-    each `SERIALIZE_CHUNK` events, every piece ending with its newline.
-    `_hex_lines` makes a chunk's plain, call and return lines as three
-    blocks; the plain block has a line for every event, so the run of plain
-    events before another event is a slice of it.  No line makes an object
-    the garbage collector tracks: a collection started here would traverse
-    all of a freshly built trace's events."""
-    yield f"P {trace.initial_process}\n"
+    each `SERIALIZE_CHUNK` events, every piece ending with its newline.  Of
+    `_hex_lines`' three blocks, the plain one has a line for every event, so
+    a run of plain events is a slice of it.  No line makes an object the
+    garbage collector tracks: a collection started here would traverse all
+    of a freshly built trace's events."""
+    yield _line(Trace(trace.initial_process))
+    # The widths of plain, call and return lines, with their newline.
+    plain_w, call_w, return_w = (_FIXED[_WRITE[cls][0]][0] + 1 for cls in (Plain, Call, Return))
     events = trace.events
     for start in range(0, len(events), SERIALIZE_CHUNK):
         chunk = events[start:start + SERIALIZE_CHUNK]
-        at = list(compress(count(), map(is_not, map(_class, chunk), repeat(Plain))))
+        at = list(compress(count(), map(is_not, map(type, chunk), repeat(Plain))))
         others = list(map(chunk.__getitem__, at))
-        kinds = list(map(_class, others))
+        kinds = list(map(type, others))
         try:
             plains = _hex_lines(Plain, chunk)
             calls = _hex_lines(Call, list(compress(others, map(is_, kinds, repeat(Call)))))
@@ -242,18 +239,18 @@ def _serialized(trace: Trace):
             _reject(chunk)
         out = []
         append = out.append
-        cut = c = r = 0     # offsets into the blocks of 11-, 29- and 20-character lines
+        cut = c = r = 0     # offsets into the plain, call and return blocks
         for i, cls in zip(at, kinds):
-            append(plains[cut:11 * i])
-            cut = 11 * i + 11
+            append(plains[cut:plain_w * i])
+            cut = plain_w * i + plain_w
             if cls is Call:
-                append(calls[c:c + 29])
-                c += 29
+                append(calls[c:c + call_w])
+                c += call_w
             elif cls is Return:
-                append(returns[r:r + 20])
-                r += 20
-            elif cls is Switch and chunk[i].next_pid >= 0:
-                append(f"X {chunk[i].next_pid}\n")
+                append(returns[r:r + return_w])
+                r += return_w
+            elif cls is Switch:     # every event before it has its line
+                append(_line(chunk[i]))
             else:
                 _reject(chunk)
         append(plains[cut:])
@@ -263,17 +260,11 @@ def _serialized(trace: Trace):
         yield "".join(out)
 
 
-_class = attrgetter("__class__")
-# The tag and the address fields, in line order, of each event class with addresses.
-_LINES = {Plain: ("I", ("pc",)), Call: ("C", ("pc", "target", "return_addr")),
-          Return: ("R", ("pc", "actual_target"))}
-
-
 def _hex_lines(cls: type, events: list) -> str:
     """The lines of `events` as `cls` lines: each field 8 hex digits, 0 where an
     event lacks it, all from one `bytes.hex` call; a `struct.error` for a field
     that is not an int in 0..0xFFFFFFFF."""
-    tag, fields = _LINES[cls]
+    tag, fields = _WRITE[cls]
     n, width = len(events), len(fields)
     if not n:
         return ""
@@ -281,24 +272,32 @@ def _hex_lines(cls: type, events: list) -> str:
     for k, name in enumerate(fields):
         words[k::width] = map(getattr, events, repeat(name), repeat(0))
     text = bytearray(struct.pack(f">{width * n}I", *words).hex(" ", 4), "ascii")
-    text[9 * width - 1::9 * width] = b"\n" * (n - 1)    # the space after each last field
+    step = _FIXED[tag][0] - len(tag)    # per event: its digits and a space after each field
+    text[step - 1::step] = b"\n" * (n - 1)    # the space after each last field
     return "{0} {1}\n".format(tag, text.decode().replace("\n", f"\n{tag} "))
 
 
+def _line(record) -> str:
+    """The line of `record`, an event or a header's `Trace` without events,
+    with each field written by its kind's format spec, or a `ValueError` if
+    `parse_trace` would not read the line: the serializer's one validity rule."""
+    tag, fields = _WRITE[record.__class__]
+    try:
+        line = " ".join([tag, *(format(getattr(record, name), _KINDS[kind][1])
+                                for name, kind in fields.items())])
+        if _RECORD.fullmatch(line):
+            return f"{line}\n"
+    except (TypeError, ValueError):     # a value that the spec does not format
+        pass
+    raise ValueError(f"cannot serialize {record!r}: {_EXPECTED[tag]}")
+
+
 def _reject(events) -> NoReturn:
-    """Raise the error for the first of `events` that has no canonical line."""
+    """Raise the error for the first of `events` that is not an event or that `_line` rejects."""
     for ev in events:
-        cls = ev.__class__
-        if cls is Switch:
-            ok = ev.next_pid >= 0
-        elif cls in _LINES:
-            ok = all(isinstance(v, int) and 0 <= v <= 0xFFFFFFFF
-                     for v in map(partial(getattr, ev), _LINES[cls][1]))
-        else:
+        if ev.__class__ not in (Plain, Call, Return, Switch):
             raise TypeError(f"not a trace event: {ev!r}")
-        if not ok:
-            raise ValueError(f"cannot serialize {ev!r}: an address must be "
-                             "in 0..0xffffffff and a pid at least 0")
+        _line(ev)
     raise AssertionError("every event of the chunk has a line")
 
 
@@ -340,13 +339,13 @@ def _scan(path):
     line.  An item's plain run is its line index less its rank among the other lines."""
     import numpy as np
     kind_of = np.full(256, -1, np.int8)    # -1: not a record's first byte
-    kind_of[list(b"\n#" + "".join(_FIELDS).encode())] = 0
+    kind_of[list(b"\n#" + "".join(_LAYOUT).encode())] = 0
     kind_of[list(b"CRX")] = CALL, RETURN, SWITCH
 
     def pid(line: int) -> int:     # of a switch or header line of the current chunk
-        m = _RECORD.fullmatch(data[starts[line]:ends[line]].decode())
-        _require(m)
-        return int(m[m.lastindex])  # a ValueError if it has too many digits
+        record = data[starts[line]:ends[line]].decode()
+        _require(_RECORD.fullmatch(record))
+        return int(record.partition(" ")[2])    # a ValueError if it has too many digits
 
     def addresses(tag: str, rows):  # the `tag` lines `rows`' digits, checked: a row per field
         length, fields = _FIXED[tag]
@@ -418,6 +417,6 @@ def _scan(path):
         end = line
         for piece in chain([data, rest], iter(partial(fh.read, SCAN_CHUNK), b"")):
             end += _ascii(piece, end).count("\n")
-        for _ in _events(data.decode().split("\n"), line, header):
+        for _ in _events(data.decode().split("\n"), line, header is not None):
             pass
     raise AssertionError("the scanner rejected a trace that parse_trace accepts")

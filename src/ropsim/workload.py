@@ -134,15 +134,14 @@ class _Emitter:
     """Builds a `ControlFlow` with a pc cursor.
 
     A plain run only moves the cursor; its length is counted on the item
-    after it.  Items do not carry call targets, so those go in `targets`,
-    and `jump` records the one cursor move that is not a call or return.
-    `trace` rebuilds the events from these, and a call's pc, which its item
-    carries as 0, from its return address."""
+    after it, and `jump` records the one cursor move that is not a call or
+    return.  `trace` rebuilds the events from these: a call's pc, which its
+    item carries as 0, from its return address, and its target, which no
+    item carries, from where the next item's plain run starts."""
 
     def __init__(self, bits):
         self.bits = bits  # a `random.Random`'s `getrandbits`
         self.items: list[tuple[int, int, int, int]] = []
-        self.targets: list[int] = []
         self.jump: tuple[int, int, int] | None = None  # (item, plains before it, pc)
         self.pc = USER_CODE_LO
         self.run = 0    # plains since the last item
@@ -170,7 +169,7 @@ class _Emitter:
         and followed by [0, `_frames`) plains, then the returns in reverse,
         each preceded by `_unwind` = (lo, hi) plains.  Draws are `_below`'s
         loop, inlined."""
-        bits, append, add_target = self.bits, self.items.append, self.targets.append
+        bits, append = self.bits, self.items.append
         unwind_lo, unwinds = _unwind[0], _unwind[1] - _unwind[0] + 1
         frame_k, unwind_k = _frames.bit_length(), unwinds.bit_length()
         pc, run, count, returns = self.pc, self.run, self.count + 2 * depth, []
@@ -181,7 +180,6 @@ class _Emitter:
             target = USER_CODE_LO + 16 * r
             returns.append(pc + 4)
             append((run, CALL, 0, returns[-1]))  # the matching RETURN shares the int
-            add_target(target)
             run = bits(frame_k)
             while run >= _frames:
                 run = bits(frame_k)
@@ -205,22 +203,23 @@ class _Emitter:
     def trace(self) -> Trace:
         """The events of the closed flow."""
         events: list[TraceEvent] = []
-        append, extend = events.append, events.extend
-        next_target = iter(self.targets).__next__
+        items, append, extend = self.items, events.append, events.extend
         jump_at, jump_after, jump_pc = self.jump or (-1, 0, 0)
         pc = USER_CODE_LO
         enabled = gc.isenabled()
         gc.disable()    # events form no cycles: collections would only rescan them
         try:
-            for i, (n, kind, a, b) in enumerate(self.items):
+            for i, (n, kind, a, b) in enumerate(items):
                 if i == jump_at:
                     extend(map(Plain, range(pc, pc + 4 * jump_after, 4)))
                     pc, n = jump_pc, n - jump_after
                 if n > 0:   # the first shares the cursor's int: one object fewer per run
                     append(Plain(pc))
                     extend(map(Plain, range(pc + 4, pc + 4 * n, 4)))
-                if kind == CALL:    # `nest` puts a call 4 bytes before its return address
-                    pc = next_target()
+                if kind == CALL:    # `nest` puts a call 4 bytes before its return address,
+                    # then a call or a return, never END or the jump: its run starts at the target
+                    n2, kind2, a2, b2 = items[i + 1]
+                    pc = (b2 - 4 if kind2 == CALL else a2) - 4 * n2
                     append(Call(b - 4, pc, b))
                 elif kind == RETURN:
                     append(Return(a, b))

@@ -537,15 +537,13 @@ _NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
 
 
 class TestOracleAgreement:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
-              phases=_NO_SHRINK)
+    @settings(max_examples=300, phases=_NO_SHRINK)
     @given(seed=st.integers(0, 2**32 - 1), cfg=configs(),
            capacity=st.integers(1, 32), flush=st.booleans(), table=st.booleans())
     def test_chaos_traces(self, seed, cfg, capacity, flush, table):
         _assert_agrees(chaos_trace(random.Random(seed)), *cfg, capacity, flush, table)
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
-              phases=_NO_SHRINK)
+    @settings(max_examples=40, phases=_NO_SHRINK)
     @given(seed=st.integers(0, 2**32 - 1), t_m=st.integers(1, 12),
            data=st.data(), capacity=st.integers(1, 32), flush=st.booleans(),
            table=st.booleans())
@@ -554,8 +552,7 @@ class TestOracleAgreement:
         trace, _ = split_attack_trace(seed, t_m)
         _assert_agrees(trace, t_m, t_i, capacity, flush, table)
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
-              phases=_NO_SHRINK)
+    @settings(max_examples=150, phases=_NO_SHRINK)
     @given(seed=st.integers(0, 2**32 - 1),
            t_ms=st.lists(st.integers(1, 12), min_size=1, max_size=3),
            t_is=st.lists(st.integers(1, 21), min_size=1, max_size=3),
@@ -581,8 +578,7 @@ class TestOracleAgreement:
         trace, _ = split_attack_trace(2342, 1)
         _assert_agrees(trace, 1, 6, 16, False, True)
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
-              phases=_NO_SHRINK)
+    @settings(max_examples=100, phases=_NO_SHRINK)
     @given(cfg=configs(), plains=st.integers(256, 700), before=st.integers(0, 60),
            gap=st.integers(0, 3), after=st.integers(0, 60), table=st.booleans())
     @example(cfg=(50, 5), plains=600, before=40, gap=1, after=10, table=True)

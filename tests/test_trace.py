@@ -162,6 +162,27 @@ class TestParse:
             parse_trace(text)
         assert exc.value.line == line
 
+    @pytest.mark.parametrize("text, line, message", [
+        (b"P 1\nI 0000000G\n", 2, "bad record 'I 0000000G': expected 'I <addr>'"),
+        (b"P 1\nC 00000000 00000004\n", 2,
+         "bad record 'C 00000000 00000004': expected 'C <addr> <addr> <addr>'"),
+        (b"P 1\nR 00000000 00000004 00000008\n", 2,
+         "bad record 'R 00000000 00000004 00000008': expected 'R <addr> <addr>'"),
+        (b"P 1\nX 01\n", 2, "bad record 'X 01': expected 'X <pid>'"),
+        (b"P -1\n", 1, "bad record 'P -1': expected 'P <pid>'"),
+        (b"P 1\nQ 1\n", 2, "unknown event tag 'Q'"),
+        (b"P 1\nIX 00000000\n", 2, "unknown event tag 'IX'"),
+        (b"P 1\nI 00000000\nP 2\n", 3, "duplicate header record"),
+        (b"# c\nI 00000000\nP 1\n", 2, "missing 'P <pid>' header record"),
+        (b"# only a comment\n", 1, "missing 'P <pid>' header record")],
+        ids=["I", "C", "R", "X", "P", "unknown-tag", "long-tag", "duplicate-header",
+             "event-before-header", "no-header"])
+    def test_error_messages(self, text, line, message):
+        if message.startswith("bad record"):
+            message += " (addr: 8 lowercase hex digits; pid: decimal, no sign or leading zero)"
+        assert _parsed(text) == (line, f"line {line}: {message}")
+        assert _scanned(text) == (line, f"line {line}: {message}")
+
     def test_non_ascii_byte_reports_its_line(self):
         with pytest.raises(TraceParseError) as exc:
             parse_trace(b"P 1\n# ok\nI 0000000\xc3\xa9\n")
@@ -193,12 +214,27 @@ class TestSerialize:
             serialize_trace(Trace(1, [object()]))
 
     @pytest.mark.parametrize("event", [
-        Plain(-4), Plain(1 << 32), Return(-4, 8), Call(0, 1 << 32, 4), Switch(-1)],
-        ids=["I-negative", "I-too-large", "R-negative", "C-too-large", "X-negative"])
+        Plain(-4), Plain(1 << 32), Return(-4, 8), Call(0, 1 << 32, 4), Switch(-1),
+        Switch(1.5), Switch("7")],
+        ids=["I-negative", "I-too-large", "R-negative", "C-too-large", "X-negative",
+             "X-float", "X-str"])
     def test_rejects_a_field_out_of_range(self, event):
         # The text would hold a line that parse_trace rejects.
         with pytest.raises(ValueError, match=re.escape(f"cannot serialize {event!r}")):
             serialize_trace(Trace(1, [Plain(0), Call(4, 8, 8), event, Return(12, 16)]))
+
+    @pytest.mark.parametrize("pid", [-1, 1.5, "7"])
+    def test_rejects_a_header_pid_the_parser_rejects(self, pid):
+        # The message names the header as the `Trace` without events that it reads as.
+        with pytest.raises(ValueError, match=re.escape(f"cannot serialize {Trace(pid)!r}")):
+            serialize_trace(Trace(pid, [Plain(0)]))
+
+    def test_a_bool_is_an_int_in_every_field(self):
+        # As in an address, so in a pid: True is written as 1.
+        trace = Trace(True, [Plain(True), Switch(True), Return(False, True)])
+        text = serialize_trace(trace)
+        assert text == "P 1\nI 00000001\nX 1\nR 00000000 00000001\n"
+        assert parse_trace(text) == trace
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
     def test_equals_the_per_event_reference(self, chunk, monkeypatch):
@@ -258,7 +294,7 @@ class TestControlFlow:
             calls = [item for item in flow.items if item[1] == CALL]
             assert calls and {pc for _, _, pc, _ in calls} == {0}
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(text=_trace_texts())
     @example(text=b"# first\nP 1\nI 00000000\n")       # comment before the header
     @example(text=b"P 1\n\nI 00000000\n\n")             # blank lines
@@ -440,7 +476,7 @@ class TestRoundTrip:
             trace = chaos_trace(rng)
             assert parse_trace(serialize_trace(trace)) == trace
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(st.data())
     def test_accepted_text_re_serializes_to_itself(self, data):
         lines = [data.draw(_record(tag)) for tag in

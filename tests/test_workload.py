@@ -178,7 +178,7 @@ class TestCountCondition:
     `t_m`; each later interval holds only gadgets and alignment returns,
     which carry 2-4 instructions, so its instructions are within `t_i * t_m`."""
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(chains_within_t_i())
     def test_flagged_exactly_from_two_intervals_of_misses(self, case):
         cfg, spec = case
@@ -356,7 +356,7 @@ class TestInterleave:
         with pytest.raises(GenerationError):  # negative pid
             interleave(InterleaveSpec(parts=[(-1, a)], schedule=[(-1, 100)]))
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(pids=st.lists(st.integers(-3, 3) | st.integers(0, 10**6), min_size=1,
                          max_size=3, unique=True),
            data=st.data())

@@ -31,8 +31,11 @@ chunk of lines at a time, as the items are read: lines are found by their
 newlines, plain lines (most of any trace) are checked in one pass and only
 counted, other lines are classed by their first byte, calls and returns are
 checked by the widths and offsets that the table gives, and only the
-addresses an item carries are decoded.  The file is read once: where a chunk
-fails a check, `parse_trace`'s error is found from that chunk on.
+addresses an item carries are decoded.
+
+Every reader reports the first line that fails, and a byte past 0x7f fails
+its own line: a `str`, its UTF-8 bytes and a file of them read alike.  The
+scanner reads no further than the first chunk that fails a check.
 
 Event objects are plain mutable-slot containers but are treated as
 immutable values everywhere in this package.
@@ -44,7 +47,6 @@ import enum
 import re
 import struct
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain, compress, count, repeat
 from operator import is_, is_not
 from typing import Iterable, NoReturn, Union
@@ -121,7 +123,7 @@ def classify_address(addr: int) -> PrivilegeLevel:
     The classification is total: every 32-bit address falls on exactly
     one side of the boundary.
     """
-    if KERNEL_BASE <= addr <= 0xFFFFFFFF:
+    if addr >= KERNEL_BASE:
         return PrivilegeLevel.KERNEL
     return PrivilegeLevel.USER
 
@@ -158,32 +160,28 @@ SERIALIZE_CHUNK = 1 << 15
 
 
 def parse_trace(text: Union[str, bytes]) -> Trace:
-    """Parse the text trace format; inverse of :func:`serialize_trace`."""
-    if isinstance(text, bytes):
-        text = _ascii(text)
-    records = _events(text.split("\n"))
+    """Parse the text trace format; inverse of :func:`serialize_trace`.
+    A `str` is read as its UTF-8 bytes, so that both give the same trace or error."""
+    if isinstance(text, str):
+        text = text.encode("utf-8", "surrogatepass")
+    records = _events(text.decode("latin-1").split("\n"))
     return Trace(next(records).initial_process, list(records))
-
-
-def _ascii(data: bytes, line: int = 1) -> str:
-    """`data` decoded, or the error for its first non-ASCII byte; `data` starts on `line`."""
-    try:
-        return data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise TraceParseError(line + data.count(b"\n", 0, exc.start),
-                              f"non-ASCII byte {data[exc.start]:#04x}") from None
 
 
 def _events(lines: Iterable[str], start: int = 1, headed: bool = False):
     """Yield the header's `Trace`, then the event of each record of `lines` (each
-    without its newline), or raise the error for the first line that fails a check.
-    `lines` start on line `start`, after a header if `headed`."""
+    without its newline, a character per byte), or raise the error for the first
+    line that fails a check.  `lines` start on line `start`, after a header if `headed`."""
     match = _RECORD.fullmatch
     for lineno, line in enumerate(lines, start):
         if not line or line[0] == "#":
-            continue
+            if line.isascii():
+                continue
         tag, _, text = line.partition(" ")
-        if match(line) is None:
+        if match(line) is None:     # so too a comment with a byte past 0x7f
+            if not line.isascii():
+                byte = next(c for c in line if c > "\x7f")
+                raise TraceParseError(lineno, f"non-ASCII byte {ord(byte):#04x}")
             if tag not in _READ:
                 raise TraceParseError(lineno, f"unknown event tag {tag!r}")
             raise TraceParseError(lineno, f"bad record {line!r}: {_EXPECTED[tag]}")
@@ -289,7 +287,11 @@ def _line(record) -> str:
             return f"{line}\n"
     except (TypeError, ValueError):     # a value that the spec does not format
         pass
-    raise ValueError(f"cannot serialize {record!r}: {_EXPECTED[tag]}")
+    try:
+        shown = repr(record)
+    except ValueError:  # an int field of more digits than `repr` writes (4300 by default)
+        shown = f"{record.__class__.__name__}(<an int field too long to print>)"
+    raise ValueError(f"cannot serialize {shown}: {_EXPECTED[tag]}")
 
 
 def _reject(events) -> NoReturn:
@@ -334,9 +336,10 @@ def _require(ok) -> None:
 
 
 def _scan(path):
-    """Yield the header's pid, each chunk's items, then END's, or raise `parse_trace`'s error.
-    A chunk is the next `SCAN_CHUNK` bytes of `path` up to their last newline, or else one
-    line.  An item's plain run is its line index less its rank among the other lines."""
+    """Yield the header's pid, each chunk's items, then END's, or raise `parse_trace`'s error,
+    as `_events` finds it on the lines of the first chunk that fails.  A chunk is the next
+    `SCAN_CHUNK` bytes of `path` up to their last newline, or else one line.  An item's plain
+    run is its line index less its rank among the other lines."""
     import numpy as np
     kind_of = np.full(256, -1, np.int8)    # -1: not a record's first byte
     kind_of[list(b"\n#" + "".join(_LAYOUT).encode())] = 0
@@ -412,11 +415,7 @@ def _scan(path):
             return
         except ValueError:  # the error is found below, so that it chains no scanner error
             pass
-        # Earlier chunks passed the same checks, so the first error is on one of this
-        # chunk's lines, but for a non-ASCII byte, which comes first wherever it is.
-        end = line
-        for piece in chain([data, rest], iter(partial(fh.read, SCAN_CHUNK), b"")):
-            end += _ascii(piece, end).count("\n")
-        for _ in _events(data.decode().split("\n"), line, header is not None):
+        # Earlier chunks passed the same checks, so the first error is on one of this chunk's lines.
+        for _ in _events(data.decode("latin-1").split("\n"), line, header is not None):
             pass
     raise AssertionError("the scanner rejected a trace that parse_trace accepts")

@@ -69,7 +69,7 @@ class BenignSpec:
     max_benign_mispredict_chain: int = 10
     mispredict_burst_count: int = 8
     gap_profile: str = "mixed"
-    seed: int = 0
+    seed: int = 0   # >= 0: `random.Random` seeds with abs(seed), so -3 would draw as 3
 
 
 @dataclass
@@ -79,7 +79,7 @@ class RopSpec:
     prologue: int = 200
     alignment_offset: int = 0
     address_region: PrivilegeLevel = PrivilegeLevel.USER
-    seed: int = 0
+    seed: int = 0   # >= 0, as in `BenignSpec`
 
 
 @dataclass
@@ -289,8 +289,8 @@ def _benign(spec: BenignSpec) -> tuple[_Emitter, Replay]:
         raise GenerationError("total_instructions must be positive")
     if spec.ras_capacity < 1:
         raise GenerationError("ras_capacity must be >= 1")
-    if spec.mispredict_burst_count < 0:
-        raise GenerationError("mispredict_burst_count must be >= 0")
+    if spec.mispredict_burst_count < 0 or spec.seed < 0:
+        raise GenerationError("mispredict_burst_count and seed must be >= 0")
     if spec.mispredict_burst_count and spec.max_benign_mispredict_chain < 1:
         raise GenerationError("bursts requested but the mispredict chain cap is 0")
 
@@ -349,8 +349,8 @@ def _rop(spec: RopSpec) -> tuple[_Emitter, Replay]:
     g = spec.chain_length
     if g < 1:
         raise GenerationError("chain_length must be >= 1")
-    if spec.prologue < 0 or spec.alignment_offset < 0:
-        raise GenerationError("prologue and alignment_offset must be >= 0")
+    if spec.prologue < 0 or spec.alignment_offset < 0 or spec.seed < 0:
+        raise GenerationError("prologue, alignment_offset and seed must be >= 0")
     rng = random.Random(spec.seed)
     bits = rng.getrandbits
     if spec.gadget_sizes is None:

@@ -94,7 +94,9 @@ class TestGenerate:
     def test_negative_counts_rejected(self, capsys):
         for argv in (["gen-rop", "--offset", "-3"],
                      ["gen-rop", "--prologue", "-1"],
-                     ["gen-normal", "--events", "1000", "--bursts", "-1"]):
+                     ["gen-normal", "--events", "1000", "--bursts", "-1"],
+                     ["gen-normal", "--events", "20000", "--seed", "-5"],
+                     ["gen-rop", "--seed", "-7"]):
             code, _, err = run_cli(argv, capsys)
             assert code == 1, argv
             assert err.startswith("ropsim: error:"), argv

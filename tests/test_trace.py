@@ -1,4 +1,5 @@
 import functools
+import io
 import os
 import random
 import re
@@ -188,6 +189,17 @@ class TestParse:
             parse_trace(b"P 1\n# ok\nI 0000000\xc3\xa9\n")
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize("text, line, byte", [
+        ("P 1\n# caf\u00e9\nI 00000000\n", 2, 0xc3), ("P 1\nI 0000000\u00e9\n", 2, 0xc3),
+        ("P 1\n\u20ac 00000000\n", 2, 0xe2), ("# ok\n\u00fc\nP 1\n", 2, 0xc3),
+        ("P 1\nX 1\udc80\n", 2, 0xed)],
+        ids=["comment", "record", "tag", "before-header", "lone-surrogate"])
+    def test_a_str_reads_as_its_utf8_bytes(self, text, line, byte):
+        # `parse_trace` of a `str`, of its bytes and `load_trace` of them agree.
+        data = text.encode("utf-8", "surrogatepass")
+        message = (line, f"line {line}: non-ASCII byte {byte:#04x}")
+        assert _parsed(text) == _parsed(data) == _scanned(data) == message
+
     @pytest.mark.parametrize("text, line", [
         (b"P 1\nX " + b"1" * 5000 + b"\n", 2), (b"P " + b"9" * 5000 + b"\n", 1)],
         ids=["switch", "header"])
@@ -228,6 +240,14 @@ class TestSerialize:
         # The message names the header as the `Trace` without events that it reads as.
         with pytest.raises(ValueError, match=re.escape(f"cannot serialize {Trace(pid)!r}")):
             serialize_trace(Trace(pid, [Plain(0)]))
+
+    @pytest.mark.parametrize("trace, name", [
+        (Trace(1, [Plain(0), Switch(10**5000)]), "Switch"), (Trace(10**5000), "Trace")],
+        ids=["switch", "header"])
+    def test_rejects_a_pid_too_long_to_print(self, trace, name):
+        # `repr` cannot print the pid either, so the message names the class.
+        with pytest.raises(ValueError, match=re.escape(f"cannot serialize {name}(<an int ")):
+            serialize_trace(trace)
 
     def test_a_bool_is_an_int_in_every_field(self):
         # As in an address, so in a pid: True is written as 1.
@@ -385,14 +405,38 @@ class TestChunks:
         assert (exc.value.line, str(exc.value)) == _parsed(bad)
         assert exc.value.line == bad.count(b"\n", 0, at) + 1
 
-    def test_a_later_non_ascii_byte_comes_before_a_bad_record(self, monkeypatch):
-        # `parse_trace` reports a non-ASCII byte first, wherever it is.
+    def test_a_bad_record_comes_before_a_later_non_ascii_byte(self, monkeypatch):
+        # The first line that fails is reported: a non-ASCII byte fails only its own line.
         monkeypatch.setattr(trace_mod, "SCAN_CHUNK", 1024)
         text = _chunked_text(5, 1024)
         at = text.index(b"\nI ", trace_mod.SCAN_CHUNK + 100) + 1
         bad = text[:at] + b"I 0000000G" + text[at + 10:] + b"\n# caf\xc3\xa9"
-        line = bad.count(b"\n") + 1
-        assert _scanned(bad) == _parsed(bad) == (line, f"line {line}: non-ASCII byte 0xc3")
+        line = bad.count(b"\n", 0, at) + 1
+        scanned = _scanned(bad)
+        assert scanned == _parsed(bad)
+        assert scanned[1].startswith(f"line {line}: bad record 'I 0000000G': ")
+
+    def test_reads_nothing_after_the_failing_chunk(self, tmp_path, monkeypatch):
+        # The error is found among the failing chunk's lines, so the reads stop there.
+        monkeypatch.setattr(trace_mod, "SCAN_CHUNK", 1024)
+        text = _chunked_text(5, 1024)
+        at = text.index(b"\nI ", trace_mod.SCAN_CHUNK + 100) + 1
+        bad = text[:at] + b"I 0000000G" + text[at + 10:]
+        path = tmp_path / "bad.trace"
+        path.write_bytes(bad)
+        offsets = []    # of the file after each read
+
+        class File(io.FileIO):
+            def read(self, size=-1):
+                data = super().read(size)
+                offsets.append(self.tell())
+                return data
+
+        monkeypatch.setattr(trace_mod, "open", lambda name, mode: File(name), raising=False)
+        with pytest.raises(TraceParseError) as exc:
+            list(trace_mod.load_trace(path).items)
+        assert exc.value.line == bad.count(b"\n", 0, at) + 1
+        assert max(offsets) < at + trace_mod.SCAN_CHUNK < len(bad)
 
     # Texts of many 64-byte reads: comment-only reads before the header,
     # lines across reads, a comment longer than a read, no final newline,

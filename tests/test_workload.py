@@ -82,6 +82,12 @@ class TestBenignGenerator:
             gen_benign(BenignSpec(total_instructions=1000,
                                   mispredict_burst_count=-1))
 
+    def test_negative_seed_rejected(self):
+        # `random.Random` seeds with abs(seed): seed -3 would draw seed 3's trace.
+        for generate in (gen_benign, benign_flow):
+            with pytest.raises(GenerationError, match="seed must be >= 0"):
+                generate(BenignSpec(total_instructions=1000, seed=-3))
+
     def test_zero_ras_capacity_rejected(self):
         for bursts in (0, 1):
             with pytest.raises(GenerationError, match="ras_capacity"):
@@ -145,6 +151,11 @@ class TestRopGenerator:
             gen_rop(RopSpec(chain_length=4, alignment_offset=-3))
         with pytest.raises(GenerationError):
             gen_rop(RopSpec(chain_length=4, prologue=-1))
+
+    def test_negative_seed_rejected(self):
+        for generate in (gen_rop, rop_flow):
+            with pytest.raises(GenerationError, match="seed must be >= 0"):
+                generate(RopSpec(chain_length=4, seed=-7))
 
     def test_single_gadget(self):
         trace = gen_rop(RopSpec(chain_length=1, prologue=0, seed=0))

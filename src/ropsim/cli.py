@@ -191,10 +191,13 @@ def cmd_interleave(args) -> int:
             or not all(isinstance(item, list) and len(item) == 2
                        and all(map(is_json_int, item)) for item in doc["schedule"])):
         return _fail("spec 'schedule' must be a list of [pid, events] integer pairs")
+    parts = []
     try:
-        parts = [(int(pid), parse_trace(Path(path).read_bytes()))
-                 for pid, path in sorted(doc["parts"].items(), key=lambda kv: int(kv[0]))]
-    except (OSError, TraceParseError, ValueError) as exc:
+        for pid, path in sorted(doc["parts"].items(), key=lambda kv: int(kv[0])):
+            parts.append((int(pid), parse_trace(Path(path).read_bytes())))
+    except TraceParseError as exc:  # which of the parts has the line
+        return _fail(f"bad spec: {path}: {exc}")
+    except (OSError, ValueError) as exc:    # an OSError names its path
         return _fail(f"bad spec: {exc}")
     schedule = [(pid, count) for pid, count in doc["schedule"]]
     return _write_trace(interleave, InterleaveSpec(parts=parts, schedule=schedule), args.out)

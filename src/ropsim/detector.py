@@ -32,13 +32,27 @@ has exactly these semantics.
 
 A plain instruction only adds one to the instruction count, so `run`
 takes a `ControlFlow`: one item per call, return or switch, carrying the
-plain run before it (see `trace`).  One loop replays the predictor and
-marks each mispredicted return, switch and the end with the counts since
-the mark before; `run` closes intervals on the marks as they come, so it
-reads a flow from `load_trace` while that is scanned.  A flagged process
-no longer touches the predictor, so after a verdict the other processes'
+plain run before it (see `trace`).  A replay of the predictor marks each
+mispredicted return, switch and the end with the counts since the mark
+before; `run` closes intervals on the marks as they come, so it reads a
+flow from `load_trace` while that is scanned.  A flagged process no
+longer touches the predictor, so after a verdict the other processes'
 marks depend on `t_m`/`t_i`.  A switch-free flow has no other process:
 `replay` stores its marks once, and `run` counts them for any cell.
+
+The predictor is replayed in two ways, and `run` picks one by where the
+flow came from.  A flow in memory, a list of items from `control_flow` or
+the generators, goes through `_marks`, one Python loop over its items.  A
+flow that `load_trace` scans from a file has `trace.Scanned` items, the
+columns of each scanned chunk, and goes through `_scanned_marks`: numpy
+replays a whole chunk at a time (`_replayed`), so no Python runs per call
+or return, and after a verdict the rest of the chunk is replayed again.
+The predictor is thus stated twice, on purpose.  Each way is the faster
+on its own inputs: a file holds up to millions of items and has paid for
+numpy's import in the scan, while the sweep replays hundreds of short
+flows, on which the loop is faster than the array replay's fixed cost
+per chunk, and imports no numpy at all.  The tests hold both ways to the
+oracle in `tests/oracle.py`.
 
 All options are `DetectorConfig` fields: `table_enabled=False` disables
 the table (partial intervals are discarded at every switch), a
@@ -53,8 +67,8 @@ import enum
 from collections import deque
 from dataclasses import dataclass, field
 
-from .trace import (CALL, END, RETURN, SWITCH, ControlFlow, PrivilegeLevel,
-                    classify_address)
+from .trace import (CALL, END, RETURN, SWITCH, Chunk, ControlFlow, PrivilegeLevel,
+                    Scanned, _decoded, classify_address)
 
 SATURATE_AT = 0xFF  # one byte per stored event count
 DEFAULT_CAPACITY = 16  # return-address-stack entries
@@ -166,6 +180,124 @@ def _marks(flow: ControlFlow, ras_capacity: int, flush_ras_on_switch: bool,
     yield END, n_i + plains if live else n_i, n_r, 0
 
 
+def _scanned_marks(flow: ControlFlow, ras_capacity: int, flush_ras_on_switch: bool,
+                   stopped: set[int]):
+    """`_marks` over the `Chunk`s of a scanned flow, each replayed by `_replayed`.
+    After a verdict's mark, the rest of its chunk is replayed again, without the
+    pid that the caller stopped, from the predictor entries as that mark left them."""
+    import numpy as np
+    cur = flow.initial_process
+    entries, counts = np.zeros(0, np.uint64), (0, 0)
+    kind = None
+    for chunk in flow.items.chunks:
+        while len(chunk.kinds):
+            marks, counts, entries_after = _replayed(chunk, entries, cur, *counts, ras_capacity,
+                                                     flush_ras_on_switch, stopped)
+            switches = 0
+            for kind, n_i, n_r, a, at in marks:
+                yield kind, n_i, n_r, a
+                if kind == SWITCH:
+                    cur, switches = a, switches + 1
+                elif kind == RETURN and cur in stopped:     # a verdict
+                    counts = 0, 0
+                    break
+            else:
+                entries = entries_after(len(chunk.kinds) - 1)
+                break
+            entries = entries_after(at)
+            chunk = Chunk(*(column[at + 1:] for column in chunk[:4]), chunk.pids[switches:])
+    if kind != END:
+        raise ValueError("control flow items end without an END item")
+
+
+def _replayed(chunk: Chunk, entries, cur: int, n_i: int, n_r: int, cap: int, flush: bool,
+              stopped: set[int]):
+    """The marks of one chunk's items as `_marks` gives them, each followed by
+    its item's index; the counts since the last mark, at the last item; and
+    `entries_after(at)`, the predictor's entries after item `at` as address
+    words, oldest first.  `entries`, `cur`, `n_i` and `n_r` are as the chunk
+    before left them.
+
+    The predictor is a walk over call depth, kept at 0 and, under a flush,
+    restarted at each switch; the entries carried in are pushes at depths 1 to
+    `m` before the first item.  A return at depth `d > 0` pops the last push at
+    depth `d`, and a push at depth `q` evicts the last push at depth `q - cap`,
+    so a return hits when its push is not evicted and holds its target.  A
+    stopped process's items leave the predictor alone and count nothing."""
+    import numpy as np
+    plains, kinds, pcs, words, pids = chunk
+    n, m = len(kinds), len(entries)
+    switch = kinds == SWITCH
+    call, ret = kinds == CALL, kinds == RETURN
+    live = True
+    if stopped:     # a switch's own count goes to the process it leaves
+        live = np.array([pid not in stopped for pid in [cur, *pids]])[switch.cumsum() - switch]
+        call &= live
+        ret &= live
+    step = np.concatenate([np.ones(m, np.int64), call.astype(np.int64) - ret])
+    walk = step.cumsum()
+    if flush and len(pids):     # a part per switch
+        part = np.concatenate([np.zeros(m, np.int64), switch.cumsum()])
+        rise = walk - np.concatenate([[0], walk[m + switch.nonzero()[0]]])[part]
+        # Each part's walk sits below the ones before it, so one running minimum serves all.
+        shift = part * (2 * len(walk) + 2)
+        low = np.minimum.accumulate(rise - shift) + shift
+    else:
+        rise = walk
+        low = np.minimum.accumulate(walk)
+    depth = rise - np.minimum(low, 0)     # after each item
+    before = np.concatenate([[0], depth[:-1]])
+    addrs = np.concatenate([entries, words])
+
+    # Each push and pop at its depth, in depth order and then in time order, so
+    # that a pop comes right after the push it pops (a pop at depth 0 has none).
+    level = np.where(step, np.maximum(depth, before), 0)
+    moved = level.nonzero()[0]
+    levels = level[moved]
+    size = len(depth) + 1
+    # A radix sort, when every depth fits 16 bits.
+    order = (levels.astype(np.uint16) if size >> 16 == 0 else levels).argsort(kind="stable")
+    stack = moved[order]
+    keys = levels[order] * size + stack
+
+    def last_push(at_level, at):  # the last push at `at_level` before item `at`
+        return stack[keys.searchsorted(at_level * size + at) - 1]
+
+    evicted = np.full(size, size)  # the push that evicted each push
+    deep = moved[(levels > cap) & (step[moved] > 0)]
+    evicted[last_push(depth[deep] - cap, deep)] = deep
+    pops = (step[stack] < 0).nonzero()[0]
+    popped, match = stack[pops], stack[pops - 1]
+    hit = np.zeros(len(depth), bool)
+    hit[popped] = (evicted[match] == size) & (addrs[match] == addrs[popped])
+    miss = ret & ~hit[m:]
+
+    def entries_after(at):
+        top = int(depth[m + at])
+        kept = last_push(np.arange(max(1, top - cap + 1), top + 1), m + at + 1)
+        return addrs[kept[evicted[kept] > m + at]]
+
+    marked = (miss | switch | (kinds == END)).nonzero()[0]
+    a = _decoded(pcs[marked]).tolist()
+    for i, pid in zip(switch[marked].nonzero()[0].tolist(), pids):
+        a[i] = pid
+    # The counts up to each mark and up to the last item, then since the one
+    # before.  Every switch is a mark, an END is its chunk's only item, and calls
+    # less returns is the walk.
+    upto = np.concatenate([marked, [n - 1]])
+    switched = np.concatenate([switch[marked].cumsum(), [len(pids)]])
+    moves = upto + 1 - switched - (kinds[upto] == END)     # calls and returns
+    n_is = plains[upto] + moves
+    n_rs = (moves - walk[m + upto] + m) // 2
+    n_is -= np.concatenate([[-n_i], n_is[:-1]])
+    n_rs -= np.concatenate([[-n_r], n_rs[:-1]])
+    if stopped:
+        n_is[~live[upto]] = n_rs[~live[upto]] = 0
+    marks = zip(kinds[marked].tolist(), n_is[:-1].tolist(), n_rs[:-1].tolist(), a,
+                marked.tolist())
+    return marks, (int(n_is[-1]), int(n_rs[-1])), entries_after
+
+
 @dataclass(frozen=True)
 class Replay:
     """The marks of a switch-free flow at one predictor depth; see `replay`."""
@@ -193,8 +325,11 @@ def run(flow: ControlFlow | Replay, cfg: DetectorConfig | None = None) -> Detect
     detached = isinstance(flow, Replay)
     if detached and flow.ras_capacity != cfg.ras_capacity:
         raise ValueError(f"replay at ras_capacity {flow.ras_capacity}, run at {cfg.ras_capacity}")
-    marks = (flow.marks if detached
-             else _marks(flow, cfg.ras_capacity, cfg.flush_ras_on_switch, stopped))
+    if detached:
+        marks = flow.marks
+    else:
+        replayed = _scanned_marks if isinstance(flow.items, Scanned) else _marks
+        marks = replayed(flow, cfg.ras_capacity, cfg.flush_ras_on_switch, stopped)
 
     table: dict[int, tuple[int, int, int]] = {}  # pid -> parked (n_i, n_r, n_m)
     verdicts: list[RopDetected] = []

@@ -26,12 +26,16 @@ Header and switch lines are formatted one by one and written only if the
 parser's pattern accepts them, so every text written parses back.
 
 The detector reads a trace as its `ControlFlow`, which `control_flow`
-derives from a `Trace` and `load_trace` scans from a file with numpy, one
-chunk of lines at a time, as the items are read: lines are found by their
-newlines, plain lines (most of any trace) are checked in one pass and only
-counted, other lines are classed by their first byte, calls and returns are
-checked by the widths and offsets that the table gives, and only the
-addresses an item carries are decoded.
+derives from a `Trace` as a list of items, and `load_trace` scans from a
+file with numpy, one chunk of lines at a time, as the items are read:
+lines are found by their newlines, plain lines (most of any trace) are
+checked in one pass and only counted, other lines are classed by their
+first byte, and calls and returns are checked by the widths and offsets
+that the table gives.  A scanned chunk is handed on as columns, a `Chunk`,
+in which an address is its 8 checked digits as one 64-bit word, so that
+the detector replays the chunk with numpy and decodes only the pcs its
+marks report.  Iterated, a scanned flow's items (`Scanned`) are the same
+tuples that `control_flow` gives.
 
 Every reader reports the first line that fails, and a byte past 0x7f fails
 its own line: a `str`, its UTF-8 bytes and a file of them read alike.  The
@@ -48,8 +52,8 @@ import re
 import struct
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat
-from operator import is_, is_not
-from typing import Iterable, NoReturn, Union
+from operator import is_, is_not, sub
+from typing import Iterable, Iterator, NamedTuple, NoReturn, Union
 
 # Split of the 32-bit virtual address space: everything at or
 # above this boundary is kernel memory.
@@ -102,11 +106,47 @@ class ControlFlow:
     """Items `(n, CALL, 0, return_addr)`, `(n, RETURN, pc, actual_target)`
     and `(n, SWITCH, next_pid, 0)`, in trace order, each after `n` plain
     instructions, then `(n, END, 0, 0)` for the `n` after the last of them:
-    a list, or from `load_trace` an iterator that is read once.  A call's
+    a list, or from `load_trace` a `Scanned` that is read once.  A call's
     pc is 0: the return-address stack reads only its return address.
     """
     initial_process: int
     items: Iterable[tuple[int, int, int, int]]
+
+
+class Chunk(NamedTuple):
+    """The items of one scanned chunk of lines, as columns: the plain instructions
+    before each item since the item before the chunk, each item's kind, pc (a
+    return's) and address (a call's return address, a return's target), and the
+    pid of each switch in order.  An address is its line's 8 digits as one
+    `uint64` word (0 where an item has none): checked lowercase hex, so equal
+    words are equal addresses; `_decoded` reads them."""
+    plains: np.ndarray
+    kinds: np.ndarray
+    pcs: np.ndarray
+    words: np.ndarray
+    pids: list[int]
+
+    def items(self):
+        """The chunk's `ControlFlow` items."""
+        plains, kinds, pcs, words, pids = self
+        a = _decoded(pcs).tolist()
+        for i, pid in zip((kinds == SWITCH).nonzero()[0].tolist(), pids):
+            a[i] = pid
+        plains = plains.tolist()
+        return zip(map(sub, plains, [0, *plains]), kinds.tolist(), a, _decoded(words).tolist())
+
+
+class Scanned:
+    """The items of a `ControlFlow` scanned from a file, read once: `chunks`
+    yields each chunk's `Chunk`, the last a lone END; iterated, the same
+    items are the tuples that `ControlFlow` describes."""
+    __slots__ = ("chunks",)
+
+    def __init__(self, chunks: Iterator[Chunk]):
+        self.chunks = chunks
+
+    def __iter__(self):
+        return chain.from_iterable(map(Chunk.items, self.chunks))
 
 
 class TraceParseError(ValueError):
@@ -326,8 +366,17 @@ def control_flow(trace: Trace) -> ControlFlow:
 
 def load_trace(path) -> ControlFlow:
     """`control_flow(parse_trace(...))` of a file, read once as its one-pass `items` are read."""
-    parts = _scan(path)
-    return ControlFlow(next(parts), chain.from_iterable(parts))
+    chunks = _scan(path)
+    return ControlFlow(next(chunks), Scanned(chunks))
+
+
+def _decoded(words):
+    """The addresses of `Chunk` words, as an int64 array; 0 for a 0 word."""
+    import numpy as np
+    out = np.zeros(len(words), np.int64)
+    at = words.nonzero()[0]
+    out[at] = np.frombuffer(bytes.fromhex(words[at].tobytes().decode()), ">u4")
+    return out
 
 
 def _require(ok) -> None:
@@ -336,10 +385,10 @@ def _require(ok) -> None:
 
 
 def _scan(path):
-    """Yield the header's pid, each chunk's items, then END's, or raise `parse_trace`'s error,
+    """Yield the header's pid, each chunk's `Chunk`, then END's, or raise `parse_trace`'s error,
     as `_events` finds it on the lines of the first chunk that fails.  A chunk is the next
-    `SCAN_CHUNK` bytes of `path` up to their last newline, or else one line.  An item's plain
-    run is its line index less its rank among the other lines."""
+    `SCAN_CHUNK` bytes of `path` up to their last newline, or else one line.  The plain lines
+    before an item are its line index less its rank among the other lines."""
     import numpy as np
     kind_of = np.full(256, -1, np.int8)    # -1: not a record's first byte
     kind_of[list(b"\n#" + "".join(_LAYOUT).encode())] = 0
@@ -350,15 +399,16 @@ def _scan(path):
         _require(_RECORD.fullmatch(record))
         return int(record.partition(" ")[2])    # a ValueError if it has too many digits
 
-    def addresses(tag: str, rows):  # the `tag` lines `rows`' digits, checked: a row per field
+    def addresses(tag: str, rows):  # the address words of the `tag` lines `rows`: a row per field
         length, fields = _FIXED[tag]
         at = starts[rows]
         _require((ends[rows] - at == length).all())
         at = at + np.array(fields)[:, None]
         _require((text[at - 1] == 32).all())
-        digits = words[at].view(np.uint8)
+        found = words[at]
+        digits = found.view(np.uint8)
         _require((((digits - 48) < 10) | ((digits - 97) < 6)).all())
-        return digits
+        return found
 
     initial = header = None     # the header's pid, and as it was before the current chunk
     plains = 0          # plain lines since the last item
@@ -396,22 +446,21 @@ def _scan(path):
 
                 rank = np.flatnonzero(kinds)    # of each item among the other lines
                 control, kinds = other[rank], kinds[rank]
-                first, last = columns = np.zeros((2, len(control)), np.int64)
+                pcs, addrs = columns = np.zeros((2, len(control)), np.uint64)
                 for tag, kind, n in ("C", CALL, 1), ("R", RETURN, 2):   # a call's pc stays 0
                     at = np.flatnonzero(kinds == kind)
-                    digits = addresses(tag, control[at])[-n:].tobytes().decode()
-                    columns[-n:, at] = np.frombuffer(bytes.fromhex(digits), ">u4").reshape(n, -1)
-                before = np.diff(control - rank, prepend=-plains)
-                plains += len(tags) - len(other) - int(before.sum())
+                    columns[-n:, at] = addresses(tag, control[at])[-n:]
+                counted = plains + control - rank   # plain lines before each item, since the last
+                plains += len(tags) - len(other)
                 if len(control):    # so none before the header
-                    a = first.tolist()
-                    for i in np.flatnonzero(kinds == SWITCH).tolist():
-                        a[i] = pid(control[i])
-                    yield zip(before.tolist(), kinds.tolist(), a, last.tolist())
+                    plains -= int(counted[-1])
+                    yield Chunk(counted, kinds, pcs, addrs,
+                                list(map(pid, control[kinds == SWITCH].tolist())))
                 line += len(ends)
                 header = initial
             _require(initial is not None)
-            yield [(plains, END, 0, 0)]
+            zero = np.zeros(1, np.uint64)
+            yield Chunk(np.array([plains]), np.array([END], np.int8), zero, zero, [])
             return
         except ValueError:  # the error is found below, so that it chains no scanner error
             pass

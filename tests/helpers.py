@@ -23,15 +23,20 @@ def package_env() -> dict[str, str]:
 
 @functools.cache
 def _trace_file():
-    """The temporary file that `load_bytes` rewrites; deleted at exit."""
+    """The temporary file that `trace_path` rewrites; deleted at exit."""
     return tempfile.NamedTemporaryFile(prefix="ropsim-", suffix=".trace")
+
+
+def trace_path(data: bytes) -> Path:
+    """A file holding `data`: the same file on every call."""
+    path = Path(_trace_file().name)
+    path.write_bytes(data)
+    return path
 
 
 def load_bytes(data: bytes) -> ControlFlow:
     """`load_trace` of a file holding `data`, with the items read into a list."""
-    path = Path(_trace_file().name)
-    path.write_bytes(data)
-    flow = load_trace(path)
+    flow = load_trace(trace_path(data))
     return ControlFlow(flow.initial_process, list(flow.items))
 
 

@@ -271,6 +271,18 @@ class TestInterleaveCommand:
             assert (code, out) == (1, ""), spec
             assert err == "ropsim: error: spec must contain 'parts' and 'schedule'\n", spec
 
+    def test_bad_part_names_its_file(self, tmp_path, capsys):
+        write_trace(Trace(1, [Plain(4 * i) for i in range(9)]), tmp_path / "a.trace")
+        (tmp_path / "b.trace").write_text("P 2\nI 0000000G\n", encoding="ascii")
+        spec_path = tmp_path / "weave.json"
+        spec_path.write_text(json.dumps({"parts": {"1": str(tmp_path / "a.trace"),
+                                                   "2": str(tmp_path / "b.trace")},
+                                         "schedule": [[1, 9], [2, 1]]}))
+        code, out, err = run_cli(["interleave", str(spec_path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(
+            f"ropsim: error: bad spec: {tmp_path / 'b.trace'}: line 2: bad record 'I 0000000G': ")
+
     def test_parts_must_map_pids_to_paths(self, tmp_path, capsys):
         # Keys are pids as the trace format writes them: each of the last
         # four reads as pid 10 under int(), whose 9 events the schedule runs.

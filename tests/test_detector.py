@@ -1,17 +1,19 @@
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from ropsim import trace as trace_mod
 from ropsim.detector import ClosedBy, DetectorConfig, replay, run
 from ropsim.trace import (Call, Plain, PrivilegeLevel, Return, Switch, Trace,
-                          control_flow, serialize_trace)
+                          control_flow, load_trace, serialize_trace)
 from ropsim.workload import (BenignSpec, InterleaveSpec, RopSpec, gen_benign,
                              gen_rop, interleave)
 
-from helpers import chaos_trace, load_bytes, split_attack_trace
+from helpers import chaos_trace, load_bytes, split_attack_trace, trace_path
 from oracle import (detector_verdict_tuples, reference_intervals, reference_jsonl,
                     reference_verdicts)
 
@@ -532,6 +534,18 @@ def _assert_agrees(trace, t_m, t_i, capacity, flush, table):
     assert run(scanned, cfg).to_jsonl() == want
 
 
+def _assert_file_agrees(trace, t_m, t_i, capacity, flush, table, chunk=trace_mod.SCAN_CHUNK):
+    """`run` over `trace` read from a file `chunk` bytes at a time, as `detect`
+    reads it, agrees with the oracle."""
+    cfg = DetectorConfig(t_m=t_m, t_i=t_i, table_enabled=table,
+                         ras_capacity=capacity, flush_ras_on_switch=flush)
+    path = trace_path(serialize_trace(trace).encode("ascii"))
+    with mock.patch.object(trace_mod, "SCAN_CHUNK", chunk):
+        got = run(load_trace(path), cfg).to_jsonl()
+    assert got == reference_jsonl(trace, t_m, t_i, capacity, table_enabled=table,
+                                  flush_ras_on_switch=flush)
+
+
 # A failing example is reported as drawn: shrinking it can take minutes.
 _NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
 
@@ -586,3 +600,35 @@ class TestOracleAgreement:
                                                  after, table):
         trace = _long_park_trace(plains, before, gap, after)
         _assert_agrees(trace, *cfg, 16, False, table)
+
+
+class TestScannedReplay:
+    """A scanned file is replayed a chunk at a time, here of a few hundred bytes,
+    so that predictor entries, counts and a verdict's stopped process all cross
+    chunk boundaries."""
+
+    @settings(max_examples=40, phases=_NO_SHRINK)
+    @given(seed=st.integers(0, 2**32 - 1), cfg=configs(), capacity=st.integers(1, 32),
+           flush=st.booleans(), table=st.booleans(), chunk=st.integers(300, 1000))
+    def test_chaos_traces(self, seed, cfg, capacity, flush, table, chunk):
+        _assert_file_agrees(chaos_trace(random.Random(seed)), *cfg, capacity, flush, table,
+                            chunk)
+
+    @settings(max_examples=3, phases=_NO_SHRINK)
+    @given(seed=st.integers(0, 2**32 - 1), t_m=st.integers(1, 12), data=st.data(),
+           capacity=st.integers(1, 32), flush=st.booleans(), table=st.booleans(),
+           chunk=st.integers(300, 1000))
+    def test_split_attack_traces(self, seed, t_m, data, capacity, flush, table, chunk):
+        t_i = data.draw(st.integers(1, 254 // t_m))
+        trace, _ = split_attack_trace(seed, t_m)
+        _assert_file_agrees(trace, t_m, t_i, capacity, flush, table, chunk)
+
+    def test_a_verdict_leaves_the_predictor_to_the_others(self):
+        # pid 2 is flagged mid-chunk; the entry it pushed before its miss is
+        # still there for pid 1, whose return to it is predicted.
+        trace = Trace(1, [Call(0x100, 0x500, 0x104), Switch(2), Call(0x2000, 0x600, 0x2004),
+                          Call(0x2004, 0x700, 0x2008), Return(0x3000, 0x9999), Plain(0),
+                          Switch(1), Return(0x504, 0x2004)])
+        _assert_agrees(trace, 1, 6, 16, False, True)
+        _assert_file_agrees(trace, 1, 6, 16, False, True)
+        assert [v.pid for v in run(control_flow(trace), DetectorConfig(t_m=1)).verdicts] == [2]

@@ -1,5 +1,5 @@
-"""Output bytes of the generators, `ropsim detect` and `ropsim sweep`, pinned
-as SHA-256 digests.
+"""Output bytes of the generators, `ropsim detect`, `ropsim scatter` and
+`ropsim sweep`, pinned as SHA-256 digests.
 
 Each generator case serializes a seeded trace from `gen_benign` (at every
 gap profile, and at predictors of 4 and 1 entries with chain caps of 1 and
@@ -12,7 +12,9 @@ that must keep the output bytes is checked here byte for byte.  The
 inputs cover a benign trace, a split gadget chain with and without the
 table, a process parked across switches for more than 255 instructions
 (the one-byte clamp at close time), and switches at non-zero call depth
-with and without the predictor flush.
+with and without the predictor flush.  The scatter corpus holds those
+inputs too, labeled by file name, at the defaults and at a two-entry
+predictor with the flush.
 """
 
 import hashlib
@@ -178,3 +180,33 @@ def test_sweep_csv_bytes(tmp_path, capsys):
     capsys.readouterr()
     assert {name: _sha256((tmp_path / "out" / name).read_bytes())
             for name in SWEEP_DIGESTS} == SWEEP_DIGESTS
+
+
+# The scatter corpus: a file name's prefix is its label.
+SCATTER_CORPUS = {"benign_mixed": _benign, "benign_dense": partial(_benign_at, "dense"),
+                  "benign_round_robin": _round_robin, "benign_long_park": _long_park,
+                  "rop_user": _rop_user, "rop_kernel": _rop_kernel,
+                  "rop_interleaved": _interleaved, "rop_split": _split}
+SCATTER_CASES = {
+    "defaults": ([], "0d701ca2e25c7f0e6a9a80f42d167e2a7313cbf8f2a4b507b0bc3fd92781fb5f"),
+    "shallow-flush": (["--tm", "4", "--ti", "8", "--ras-capacity", "2",
+                       "--flush-ras-on-switch"],
+                      "f44dfe4c47809bc7bcc0b414ec6b479b81535348c0b6b16a30cc30d87634b729"),
+}
+
+
+@pytest.fixture(scope="module")
+def scatter_corpus(tmp_path_factory):
+    corpus = tmp_path_factory.mktemp("corpus")
+    for name, build in SCATTER_CORPUS.items():
+        (corpus / f"{name}.trace").write_text(serialize_trace(build()), encoding="ascii")
+    return corpus
+
+
+@pytest.mark.parametrize("case", sorted(SCATTER_CASES))
+def test_scatter_csv_bytes(case, scatter_corpus, tmp_path, capsys):
+    flags, digest = SCATTER_CASES[case]
+    out = tmp_path / "scatter.csv"
+    assert main(["scatter", str(scatter_corpus), *flags, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert _sha256(out.read_bytes()) == digest

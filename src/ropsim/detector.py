@@ -68,7 +68,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .trace import (CALL, END, RETURN, SWITCH, Chunk, ControlFlow, PrivilegeLevel,
-                    Scanned, _decoded, classify_address)
+                    Scanned, classify_address)
 
 SATURATE_AT = 0xFF  # one byte per stored event count
 DEFAULT_CAPACITY = 16  # return-address-stack entries
@@ -225,7 +225,7 @@ def _replayed(chunk: Chunk, entries, cur: int, n_i: int, n_r: int, cap: int, flu
     so a return hits when its push is not evicted and holds its target.  A
     stopped process's items leave the predictor alone and count nothing."""
     import numpy as np
-    plains, kinds, pcs, words, pids = chunk
+    plains, kinds, _, words, pids = chunk
     n, m = len(kinds), len(entries)
     switch = kinds == SWITCH
     call, ret = kinds == CALL, kinds == RETURN
@@ -263,9 +263,9 @@ def _replayed(chunk: Chunk, entries, cur: int, n_i: int, n_r: int, cap: int, flu
     def last_push(at_level, at):  # the last push at `at_level` before item `at`
         return stack[keys.searchsorted(at_level * size + at) - 1]
 
-    evicted = np.full(size, size)  # the push that evicted each push
+    evicted = np.full(size, size)  # the first push that evicted each push
     deep = moved[(levels > cap) & (step[moved] > 0)]
-    evicted[last_push(depth[deep] - cap, deep)] = deep
+    np.minimum.at(evicted, last_push(depth[deep] - cap, deep), deep)
     pops = (step[stack] < 0).nonzero()[0]
     popped, match = stack[pops], stack[pops - 1]
     hit = np.zeros(len(depth), bool)
@@ -278,7 +278,7 @@ def _replayed(chunk: Chunk, entries, cur: int, n_i: int, n_r: int, cap: int, flu
         return addrs[kept[evicted[kept] > m + at]]
 
     marked = (miss | switch | (kinds == END)).nonzero()[0]
-    a = _decoded(pcs[marked]).tolist()
+    a = chunk.pcs_at(marked)
     for i, pid in zip(switch[marked].nonzero()[0].tolist(), pids):
         a[i] = pid
     # The counts up to each mark and up to the last item, then since the one

@@ -119,7 +119,7 @@ class Chunk(NamedTuple):
     return's) and address (a call's return address, a return's target), and the
     pid of each switch in order.  An address is its line's 8 digits as one
     `uint64` word (0 where an item has none): checked lowercase hex, so equal
-    words are equal addresses; `_decoded` reads them."""
+    words are equal addresses; `pcs_at` reads pcs."""
     plains: np.ndarray
     kinds: np.ndarray
     pcs: np.ndarray
@@ -134,6 +134,10 @@ class Chunk(NamedTuple):
             a[i] = pid
         plains = plains.tolist()
         return zip(map(sub, plains, [0, *plains]), kinds.tolist(), a, _decoded(words).tolist())
+
+    def pcs_at(self, at) -> list[int]:
+        """The pcs of the items at the indices `at`."""
+        return _decoded(self.pcs[at]).tolist()
 
 
 class Scanned:

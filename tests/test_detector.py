@@ -632,3 +632,14 @@ class TestScannedReplay:
         _assert_agrees(trace, 1, 6, 16, False, True)
         _assert_file_agrees(trace, 1, 6, 16, False, True)
         assert [v.pid for v in run(control_flow(trace), DetectorConfig(t_m=1)).verdicts] == [2]
+
+    def test_an_entry_stays_evicted_when_pushed_over_again(self):
+        # pid 2's second call evicts 0x104; its miss flags it, and its call after
+        # the verdict evicts 0x104 again.  pid 1's return to 0x104 finds no entry.
+        trace = Trace(2, [Call(0x100, 0x500, 0x104), Call(0x500, 0x600, 0x504),
+                          Return(0x3000, 0x9999), Call(0x2000, 0x700, 0x2004), Switch(1),
+                          Return(0x800, 0x104)])
+        _assert_agrees(trace, 1, 6, 1, False, True)
+        _assert_file_agrees(trace, 1, 6, 1, False, True)
+        cfg = DetectorConfig(t_m=1, ras_capacity=1)
+        assert [v.pid for v in run(control_flow(trace), cfg).verdicts] == [2, 1]

@@ -30,6 +30,7 @@ _FIELD = st.one_of(
 _ARITY = {"P": 1, "I": 1, "C": 3, "R": 2, "X": 1}
 
 
+@functools.cache     # built once, so validated once
 def _record(tag: str):
     n = _ARITY[tag]
     return st.lists(_FIELD, min_size=n, max_size=n).map(
@@ -46,15 +47,19 @@ _ODD = st.one_of(st.sampled_from(["", "#", "# note", "#\r", "P 2", "I 0000001f\r
                  st.sampled_from("PICRX").flatmap(_record))
 
 
+# A text's lines before, at and after its header, each strategy built once:
+# hypothesis validates a new strategy object at its first draw.
+_HEADER = _PID.map("P {}".format)
+_LEADING = st.lists(st.sampled_from(["", "# before"] * 3 + ["I 00000000"]), max_size=2)
+_HEADERS = st.one_of(_HEADER, _HEADER, _HEADER, _record("P"), st.just(None)).map(
+    lambda p: [] if p is None else [p])
+_BODY = st.lists(st.one_of(*[_CANONICAL] * 5, _ODD), max_size=6)
+
+
 @st.composite
 def _trace_texts(draw):
     """Texts near the trace grammar: mostly canonical, sometimes broken."""
-    lines = draw(st.lists(st.sampled_from(["", "# before"] * 3 + ["I 00000000"]),
-                          max_size=2))
-    header = _PID.map("P {}".format)
-    lines += draw(st.one_of(header, header, header, _record("P"), st.just(None))
-                  .map(lambda p: [] if p is None else [p]))
-    lines += draw(st.lists(st.one_of(*[_CANONICAL] * 5, _ODD), max_size=6))
+    lines = draw(_LEADING) + draw(_HEADERS) + draw(_BODY)
     newline = draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
     text = (newline.join(lines) + draw(st.sampled_from([newline, ""]))).encode()
     if draw(st.sampled_from([False] * 9 + [True])):

@@ -64,6 +64,7 @@ empties the predictor at every context switch.
 from __future__ import annotations
 
 import enum
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -92,6 +93,8 @@ class DetectorConfig:
                 "t_i * t_m must be below 255: a one-byte table entry cannot hold it")
         if self.ras_capacity < 1:
             raise ValueError("ras_capacity must be >= 1")
+        if self.ras_capacity > sys.maxsize:
+            raise ValueError(f"ras_capacity must be at most {sys.maxsize}")
 
 
 class ClosedBy(enum.Enum):
@@ -175,7 +178,7 @@ def _marks(flow: ControlFlow, ras_capacity: int, flush_ras_on_switch: bool,
                 ras.clear()
             cur = a
             live = cur not in stopped
-    if kind != END:  # e.g. a second pass over a loaded flow's spent iterator
+    if kind != END:  # e.g. items built by hand, or an iterator already spent
         raise ValueError("control flow items end without an END item")
     yield END, n_i + plains if live else n_i, n_r, 0
 
@@ -218,12 +221,13 @@ def _replayed(chunk: Chunk, entries, cur: int, n_i: int, n_r: int, cap: int, flu
     words, oldest first.  `entries`, `cur`, `n_i` and `n_r` are as the chunk
     before left them.
 
-    The predictor is a walk over call depth, kept at 0 and, under a flush,
-    restarted at each switch; the entries carried in are pushes at depths 1 to
-    `m` before the first item.  A return at depth `d > 0` pops the last push at
-    depth `d`, and a push at depth `q` evicts the last push at depth `q - cap`,
-    so a return hits when its push is not evicted and holds its target.  A
-    stopped process's items leave the predictor alone and count nothing."""
+    The predictor is a walk over call depth, kept at 0; the entries carried in
+    are pushes at depths 1 to `m` before the first item.  A return at depth
+    `d > 0` pops the last push at depth `d`.  A push at depth `q` evicts the last
+    push at depth `q - cap`, and under a flush a switch evicts every push before
+    it, so a return hits when its push was not evicted before the return and
+    holds its target.  A stopped process's items leave the predictor alone and
+    count nothing."""
     import numpy as np
     plains, kinds, _, words, pids = chunk
     n, m = len(kinds), len(entries)
@@ -236,16 +240,7 @@ def _replayed(chunk: Chunk, entries, cur: int, n_i: int, n_r: int, cap: int, flu
         ret &= live
     step = np.concatenate([np.ones(m, np.int64), call.astype(np.int64) - ret])
     walk = step.cumsum()
-    if flush and len(pids):     # a part per switch
-        part = np.concatenate([np.zeros(m, np.int64), switch.cumsum()])
-        rise = walk - np.concatenate([[0], walk[m + switch.nonzero()[0]]])[part]
-        # Each part's walk sits below the ones before it, so one running minimum serves all.
-        shift = part * (2 * len(walk) + 2)
-        low = np.minimum.accumulate(rise - shift) + shift
-    else:
-        rise = walk
-        low = np.minimum.accumulate(walk)
-    depth = rise - np.minimum(low, 0)     # after each item
+    depth = walk - np.minimum(np.minimum.accumulate(walk), 0)     # after each item
     before = np.concatenate([[0], depth[:-1]])
     addrs = np.concatenate([entries, words])
 
@@ -263,13 +258,16 @@ def _replayed(chunk: Chunk, entries, cur: int, n_i: int, n_r: int, cap: int, flu
     def last_push(at_level, at):  # the last push at `at_level` before item `at`
         return stack[keys.searchsorted(at_level * size + at) - 1]
 
-    evicted = np.full(size, size)  # the first push that evicted each push
+    evicted = np.full(size, size)  # the first item that evicted each push
+    if flush:   # the first switch after it
+        flushes = m + switch.nonzero()[0]
+        evicted = np.append(flushes, size)[flushes.searchsorted(np.arange(size))]
     deep = moved[(levels > cap) & (step[moved] > 0)]
     np.minimum.at(evicted, last_push(depth[deep] - cap, deep), deep)
     pops = (step[stack] < 0).nonzero()[0]
     popped, match = stack[pops], stack[pops - 1]
     hit = np.zeros(len(depth), bool)
-    hit[popped] = (evicted[match] == size) & (addrs[match] == addrs[popped])
+    hit[popped] = (evicted[match] > popped) & (addrs[match] == addrs[popped])
     miss = ret & ~hit[m:]
 
     def entries_after(at):

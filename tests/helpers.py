@@ -65,6 +65,28 @@ def chaos_trace(rng: random.Random) -> Trace:
     return Trace(rng.choice(pids), events)
 
 
+def pooled_trace(rng: random.Random) -> Trace:
+    """Like `chaos_trace`, but with 2-4 processes, and with every call's return
+    address and every return's target drawn from a pool of 2-8 addresses: a
+    return often meets an entry that another call or process pushed, or that
+    was flushed or evicted."""
+    pids = list(range(1, rng.randint(3, 5)))
+    pool = rng.sample(range(0, 1 << 32, 4), rng.randint(2, 8))
+    events = []
+    for _ in range(rng.randint(30, 150)):
+        roll = rng.random()
+        pc = rng.getrandbits(30) << 2
+        if roll < 0.15:
+            events.append(Switch(rng.choice(pids)))
+        elif roll < 0.25:
+            events.append(Plain(pc))
+        elif roll < 0.65:
+            events.append(Call(pc, rng.getrandbits(30) << 2, rng.choice(pool)))
+        else:
+            events.append(Return(pc, rng.choice(pool)))
+    return Trace(rng.choice(pids), events)
+
+
 def reference_serialize(trace: Trace) -> str:
     """`serialize_trace` as one f-string per event: the reference the
     serializer's block formatting is checked against."""

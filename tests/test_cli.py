@@ -132,7 +132,8 @@ class TestDetect:
     @pytest.mark.parametrize("flags, message", [
         (["--tm", "0"], "t_m must be >= 1"),
         (["--tm", "50", "--ti", "6"], "t_i * t_m must be below 255"),
-        (["--ras-capacity", "0"], "ras_capacity must be >= 1")])
+        (["--ras-capacity", "0"], "ras_capacity must be >= 1"),
+        (["--ras-capacity", "99999999999999999999"], "ras_capacity must be at most")])
     def test_bad_detector_config(self, flags, message, tmp_path, capsys):
         path = tmp_path / "t.trace"
         write_trace(Trace(1, [Plain(0)]), path)
@@ -428,7 +429,7 @@ class TestSweepCommand:
 
     def test_bad_capacity_and_gadget_range_rejected(self, tmp_path, capsys):
         spec_path = tmp_path / "sweep.json"
-        for spec in ({"ras_capacity": 0},
+        for spec in ({"ras_capacity": 0}, {"ras_capacity": 100000000000000000000},
                      {"gadget_size_lo": 5, "gadget_size_hi": 3},
                      {"rop_reps": -1}, {"gadget_size_lo": 0}):
             spec_path.write_text(json.dumps(spec))

@@ -128,10 +128,6 @@ class DetectionReport:
     verdicts: list[RopDetected] = field(default_factory=list)
     intervals: list[IntervalRecord] = field(default_factory=list)
 
-    @property
-    def clean(self) -> bool:
-        return not self.verdicts
-
     def to_jsonl(self) -> str:
         """One JSON record per interval and per verdict; stable field names.
         Each record is written as `json.dumps(record, sort_keys=True)` would."""
@@ -191,8 +187,11 @@ def _scanned_marks(flow: ControlFlow, ras_capacity: int, flush_ras_on_switch: bo
     import numpy as np
     cur = flow.initial_process
     entries, counts = np.zeros(0, np.uint64), (0, 0)
-    kind = None
     for chunk in flow.items.chunks:
+        if chunk.kinds[0] == END:   # the last chunk, END alone: nothing to replay
+            n_i, n_r = counts
+            yield END, n_i if cur in stopped else n_i + int(chunk.plains[0]), n_r, 0
+            return
         while len(chunk.kinds):
             marks, counts, entries_after = _replayed(chunk, entries, cur, *counts, ras_capacity,
                                                      flush_ras_on_switch, stopped)
@@ -209,8 +208,7 @@ def _scanned_marks(flow: ControlFlow, ras_capacity: int, flush_ras_on_switch: bo
                 break
             entries = entries_after(at)
             chunk = Chunk(*(column[at + 1:] for column in chunk[:4]), chunk.pids[switches:])
-    if kind != END:
-        raise ValueError("control flow items end without an END item")
+    raise ValueError("control flow items end without an END item")
 
 
 def _replayed(chunk: Chunk, entries, cur: int, n_i: int, n_r: int, cap: int, flush: bool,
@@ -275,24 +273,20 @@ def _replayed(chunk: Chunk, entries, cur: int, n_i: int, n_r: int, cap: int, flu
         kept = last_push(np.arange(max(1, top - cap + 1), top + 1), m + at + 1)
         return addrs[kept[evicted[kept] > m + at]]
 
-    marked = (miss | switch | (kinds == END)).nonzero()[0]
-    a = chunk.pcs_at(marked)
-    for i, pid in zip(switch[marked].nonzero()[0].tolist(), pids):
-        a[i] = pid
+    marked = (miss | switch).nonzero()[0]
     # The counts up to each mark and up to the last item, then since the one
-    # before.  Every switch is a mark, an END is its chunk's only item, and calls
-    # less returns is the walk.
+    # before.  Every switch is a mark, and calls less returns is the walk.
     upto = np.concatenate([marked, [n - 1]])
     switched = np.concatenate([switch[marked].cumsum(), [len(pids)]])
-    moves = upto + 1 - switched - (kinds[upto] == END)     # calls and returns
+    moves = upto + 1 - switched     # calls and returns
     n_is = plains[upto] + moves
     n_rs = (moves - walk[m + upto] + m) // 2
     n_is -= np.concatenate([[-n_i], n_is[:-1]])
     n_rs -= np.concatenate([[-n_r], n_rs[:-1]])
     if stopped:
         n_is[~live[upto]] = n_rs[~live[upto]] = 0
-    marks = zip(kinds[marked].tolist(), n_is[:-1].tolist(), n_rs[:-1].tolist(), a,
-                marked.tolist())
+    marks = zip(kinds[marked].tolist(), n_is[:-1].tolist(), n_rs[:-1].tolist(),
+                chunk.firsts(marked), marked.tolist())
     return marks, (int(n_is[-1]), int(n_rs[-1])), entries_after
 
 
@@ -307,6 +301,7 @@ class Replay:
 def replay(flow: ControlFlow, ras_capacity: int) -> Replay:
     """The predictor replayed over `flow` once, for `run` under any `t_m`/`t_i`.
     A flow with a switch is a `ValueError`: its marks depend on them."""
+    DetectorConfig(ras_capacity=ras_capacity)   # a `ValueError` for a depth it rejects
     marks = list(_marks(flow, ras_capacity, False, set()))
     if any(mark[0] == SWITCH for mark in marks):
         raise ValueError("a replay needs a flow without context switches")

@@ -136,7 +136,7 @@ def _trace_rows(spec: SweepSpec, cells: list, flow: ControlFlow,
         report = run(replayed, cfg)
         min_n_r, paired_n_i = scatter_point(report)
         overflow = sum(1 for r in report.intervals if r.closed_by is ClosedBy.OVERFLOW)
-        rows.append({**base, "t_m": t_m, "t_i": t_i, "detected": int(not report.clean),
+        rows.append({**base, "t_m": t_m, "t_i": t_i, "detected": int(bool(report.verdicts)),
                      "min_n_r": min_n_r, "paired_n_i": paired_n_i,
                      "overflow_intervals": overflow})
     return rows

@@ -119,7 +119,7 @@ class Chunk(NamedTuple):
     return's) and address (a call's return address, a return's target), and the
     pid of each switch in order.  An address is its line's 8 digits as one
     `uint64` word (0 where an item has none): checked lowercase hex, so equal
-    words are equal addresses; `pcs_at` reads pcs."""
+    words are equal addresses; `firsts` reads pcs and pids."""
     plains: np.ndarray
     kinds: np.ndarray
     pcs: np.ndarray
@@ -128,16 +128,17 @@ class Chunk(NamedTuple):
 
     def items(self):
         """The chunk's `ControlFlow` items."""
-        plains, kinds, pcs, words, pids = self
-        a = _decoded(pcs).tolist()
-        for i, pid in zip((kinds == SWITCH).nonzero()[0].tolist(), pids):
-            a[i] = pid
-        plains = plains.tolist()
-        return zip(map(sub, plains, [0, *plains]), kinds.tolist(), a, _decoded(words).tolist())
+        plains = self.plains.tolist()
+        return zip(map(sub, plains, [0, *plains]), self.kinds.tolist(),
+                   self.firsts(slice(None)), _decoded(self.words).tolist())
 
-    def pcs_at(self, at) -> list[int]:
-        """The pcs of the items at the indices `at`."""
-        return _decoded(self.pcs[at]).tolist()
+    def firsts(self, at) -> list[int]:
+        """The `a` field of the items at the indices `at`, which hold every
+        switch: a return's pc, a switch's pid, else 0."""
+        a = _decoded(self.pcs[at]).tolist()
+        for i, pid in zip((self.kinds[at] == SWITCH).nonzero()[0].tolist(), self.pids):
+            a[i] = pid
+        return a
 
 
 class Scanned:

@@ -36,9 +36,10 @@ from __future__ import annotations
 
 import gc
 import random
+import sys
 from dataclasses import dataclass
 
-from .detector import DEFAULT_CAPACITY, Replay, _marks, replay
+from .detector import DEFAULT_CAPACITY, DetectorConfig, Replay, _marks, replay
 from .trace import (CALL, END, KERNEL_BASE, RETURN, Call, ControlFlow, Plain,
                     PrivilegeLevel, Return, Switch, Trace, TraceEvent,
                     control_flow)
@@ -93,9 +94,7 @@ class InterleaveSpec:
 def replay_mispredictions(trace: Trace, ras_capacity: int) -> list[bool]:
     """Outcome (True = mispredicted) of each Return event, in trace order.
     The predictor keeps its entries across Switch events."""
-    if ras_capacity < 1:
-        # deque(maxlen=0) would silently mispredict every return.
-        raise ValueError("ras_capacity must be >= 1")
+    DetectorConfig(ras_capacity=ras_capacity)   # a `ValueError` for a depth it rejects
     out: list[bool] = []
     for kind, _, n_r, _ in _marks(control_flow(trace), ras_capacity, False, set()):
         out += [False] * n_r  # the returns since the mark before;
@@ -287,8 +286,8 @@ def _benign(spec: BenignSpec) -> tuple[_Emitter, Replay]:
         raise GenerationError(f"unknown gap profile {spec.gap_profile!r}")
     if spec.total_instructions < 1:
         raise GenerationError("total_instructions must be positive")
-    if spec.ras_capacity < 1:
-        raise GenerationError("ras_capacity must be >= 1")
+    if not 1 <= spec.ras_capacity <= sys.maxsize:   # the depths `DetectorConfig` accepts
+        raise GenerationError(f"ras_capacity must be from 1 to {sys.maxsize}")
     if spec.mispredict_burst_count < 0 or spec.seed < 0:
         raise GenerationError("mispredict_burst_count and seed must be >= 0")
     if spec.mispredict_burst_count and spec.max_benign_mispredict_chain < 1:

@@ -75,11 +75,12 @@ class TestGenerate:
         assert "too small" in err
 
     def test_gen_normal_zero_ras_capacity_errors(self, capsys):
-        code, _, err = run_cli(["gen-normal", "--ras-capacity", "0",
-                                "--events", "1000", "--bursts", "1"], capsys)
-        assert code == 1
-        assert "ropsim: error:" in err
-        assert "ras_capacity" in err
+        for capacity, bursts in ("0", "1"), ("99999999999999999999", "0"):
+            code, _, err = run_cli(["gen-normal", "--ras-capacity", capacity,
+                                    "--events", "1000", "--bursts", bursts], capsys)
+            assert code == 1, capacity
+            assert "ropsim: error:" in err
+            assert "ras_capacity" in err
 
     def test_bad_gadget_sizes_value(self, capsys):
         # "" is a value, not an absent flag; sizes are decimal as pids are

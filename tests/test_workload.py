@@ -89,10 +89,12 @@ class TestBenignGenerator:
                 generate(BenignSpec(total_instructions=1000, seed=-3))
 
     def test_zero_ras_capacity_rejected(self):
-        for bursts in (0, 1):
-            with pytest.raises(GenerationError, match="ras_capacity"):
-                gen_benign(BenignSpec(ras_capacity=0, total_instructions=1000,
-                                      mispredict_burst_count=bursts))
+        # Past sys.maxsize as at 0: neither is a depth `DetectorConfig` accepts.
+        for capacity in (0, 10**20):
+            for bursts in (0, 1):
+                with pytest.raises(GenerationError, match="ras_capacity"):
+                    gen_benign(BenignSpec(ras_capacity=capacity, total_instructions=1000,
+                                          mispredict_burst_count=bursts))
 
     def test_small_trace_without_bursts_is_fine(self):
         trace = gen_benign(BenignSpec(total_instructions=10,
@@ -196,7 +198,7 @@ class TestCountCondition:
         flow, replayed = rop_flow(spec)
         # The chain and the alignment returns hold no call: any is the prologue's.
         assume(any(kind == CALL for _, kind, _, _ in flow.items))
-        flagged = not run(replayed, cfg).clean
+        flagged = bool(run(replayed, cfg).verdicts)
         assert flagged == (spec.alignment_offset + spec.chain_length >= 2 * cfg.t_m)
 
 
@@ -343,7 +345,7 @@ class TestInterleave:
             schedule.append((2, 50))
         woven = interleave(InterleaveSpec(parts=[(1, a), (2, b)],
                                           schedule=schedule))
-        assert run(control_flow(woven)).clean
+        assert not run(control_flow(woven)).verdicts
 
     def test_schedule_validation(self):
         a = gen_benign(BenignSpec(total_instructions=100,

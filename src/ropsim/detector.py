@@ -246,12 +246,10 @@ def _replayed(chunk: Chunk, entries, cur: int, n_i: int, n_r: int, cap: int, flu
     # that a pop comes right after the push it pops (a pop at depth 0 has none).
     level = np.where(step, np.maximum(depth, before), 0)
     moved = level.nonzero()[0]
-    levels = level[moved]
     size = len(depth) + 1
-    # A radix sort, when every depth fits 16 bits.
-    order = (levels.astype(np.uint16) if size >> 16 == 0 else levels).argsort(kind="stable")
-    stack = moved[order]
-    keys = levels[order] * size + stack
+    # Keys are below `size**2`, inside `int64` for any `size` below about 3 * 10**9.
+    keys = np.sort(level[moved] * size + moved)
+    stack = keys % size
 
     def last_push(at_level, at):  # the last push at `at_level` before item `at`
         return stack[keys.searchsorted(at_level * size + at) - 1]
@@ -260,7 +258,7 @@ def _replayed(chunk: Chunk, entries, cur: int, n_i: int, n_r: int, cap: int, flu
     if flush:   # the first switch after it
         flushes = m + switch.nonzero()[0]
         evicted = np.append(flushes, size)[flushes.searchsorted(np.arange(size))]
-    deep = moved[(levels > cap) & (step[moved] > 0)]
+    deep = ((level > cap) & (step > 0)).nonzero()[0]
     np.minimum.at(evicted, last_push(depth[deep] - cap, deep), deep)
     pops = (step[stack] < 0).nonzero()[0]
     popped, match = stack[pops], stack[pops - 1]

@@ -674,6 +674,16 @@ class TestScannedReplay:
         cfg = DetectorConfig(t_m=1, ras_capacity=1)
         assert [v.pid for v in run(control_flow(trace), cfg).verdicts] == [2, 1]
 
+    def test_a_predictor_deeper_than_16_bits(self):
+        # The unwind's chunks carry more than 2**16 entries, so the depths of
+        # their pushes and pops need more than 16 bits.  Every return of the
+        # unwind hits, and the six after it miss and close the one interval.
+        depth = 65_540
+        calls = [Call(0, 0, 4 * i + 4) for i in range(depth)]
+        returns = [Return(0, 4 * i + 4) for i in reversed(range(depth))]
+        trace = Trace(1, calls + returns + [Return(0, 1)] * 6)
+        _assert_file_agrees(trace, 6, 6, depth, False, True)
+
 
 class TestPooledAddresses:
     """Calls and returns over a pool of a few addresses, at a predictor of 1-4

@@ -181,43 +181,26 @@ def _marks(flow: ControlFlow, ras_capacity: int, flush_ras_on_switch: bool,
 
 def _scanned_marks(flow: ControlFlow, ras_capacity: int, flush_ras_on_switch: bool,
                    stopped: set[int]):
-    """`_marks` over the `Chunk`s of a scanned flow, each replayed by `_replayed`.
-    After a verdict's mark, the rest of its chunk is replayed again, without the
-    pid that the caller stopped, from the predictor entries as that mark left them."""
+    """`_marks` over the `Chunk`s of a scanned flow, each replayed by `_replayed`."""
     import numpy as np
-    cur = flow.initial_process
-    entries, counts = np.zeros(0, np.uint64), (0, 0)
+    cur, entries, n_i, n_r = flow.initial_process, np.zeros(0, np.uint64), 0, 0
     for chunk in flow.items.chunks:
         if chunk.kinds[0] == END:   # the last chunk, END alone: nothing to replay
-            n_i, n_r = counts
             yield END, n_i if cur in stopped else n_i + int(chunk.plains[0]), n_r, 0
             return
-        while len(chunk.kinds):
-            marks, counts, entries_after = _replayed(chunk, entries, cur, *counts, ras_capacity,
-                                                     flush_ras_on_switch, stopped)
-            switches = 0
-            for kind, n_i, n_r, a, at in marks:
-                yield kind, n_i, n_r, a
-                if kind == SWITCH:
-                    cur, switches = a, switches + 1
-                elif kind == RETURN and cur in stopped:     # a verdict
-                    counts = 0, 0
-                    break
-            else:
-                entries = entries_after(len(chunk.kinds) - 1)
-                break
-            entries = entries_after(at)
-            chunk = Chunk(*(column[at + 1:] for column in chunk[:4]), chunk.pids[switches:])
+        cur, entries, n_i, n_r = yield from _replayed(chunk, entries, cur, n_i, n_r, ras_capacity,
+                                                      flush_ras_on_switch, stopped)
     raise ValueError("control flow items end without an END item")
 
 
 def _replayed(chunk: Chunk, entries, cur: int, n_i: int, n_r: int, cap: int, flush: bool,
               stopped: set[int]):
-    """The marks of one chunk's items as `_marks` gives them, each followed by
-    its item's index; the counts since the last mark, at the last item; and
-    `entries_after(at)`, the predictor's entries after item `at` as address
-    words, oldest first.  `entries`, `cur`, `n_i` and `n_r` are as the chunk
-    before left them.
+    """Yield the marks of one chunk's items as `_marks` gives them, and return
+    `(cur, entries, n_i, n_r)` as the chunk leaves them: the current pid, the
+    predictor's entries as address words, oldest first, and the counts since
+    the last mark.  The arguments are as the chunk before left them.  After a
+    verdict's mark, the rest of the chunk is replayed again, without the pid
+    that the caller stopped, from the predictor entries as that mark left them.
 
     The predictor is a walk over call depth, kept at 0; the entries carried in
     are pushes at depths 1 to `m` before the first item.  A return at depth
@@ -247,12 +230,13 @@ def _replayed(chunk: Chunk, entries, cur: int, n_i: int, n_r: int, cap: int, flu
     level = np.where(step, np.maximum(depth, before), 0)
     moved = level.nonzero()[0]
     size = len(depth) + 1
-    # Keys are below `size**2`, inside `int64` for any `size` below about 3 * 10**9.
-    keys = np.sort(level[moved] * size + moved)
-    stack = keys % size
+    shift = size.bit_length()
+    # Keys are below `2 * size**2`, inside `int64` for any `size` below about 2 * 10**9.
+    keys = np.sort(level[moved] << shift | moved)
+    stack = keys & (1 << shift) - 1
 
     def last_push(at_level, at):  # the last push at `at_level` before item `at`
-        return stack[keys.searchsorted(at_level * size + at) - 1]
+        return stack[keys.searchsorted(at_level << shift | at) - 1]
 
     evicted = np.full(size, size)  # the first item that evicted each push
     if flush:   # the first switch after it
@@ -283,9 +267,15 @@ def _replayed(chunk: Chunk, entries, cur: int, n_i: int, n_r: int, cap: int, flu
     n_rs -= np.concatenate([[-n_r], n_rs[:-1]])
     if stopped:
         n_is[~live[upto]] = n_rs[~live[upto]] = 0
-    marks = zip(kinds[marked].tolist(), n_is[:-1].tolist(), n_rs[:-1].tolist(),
-                chunk.firsts(marked), marked.tolist())
-    return marks, (int(n_is[-1]), int(n_rs[-1])), entries_after
+    for kind, d_i, d_r, a, at in zip(kinds[marked].tolist(), n_is[:-1].tolist(),
+                                     n_rs[:-1].tolist(), chunk.firsts(marked), marked.tolist()):
+        yield kind, d_i, d_r, a
+        if kind == SWITCH:
+            cur = a
+        elif cur in stopped and at + 1 < n:     # a verdict, with items after it
+            rest = Chunk(*(column[at + 1:] for column in chunk[:4]), pids[int(switch[:at].sum()):])
+            return (yield from _replayed(rest, entries_after(at), cur, 0, 0, cap, flush, stopped))
+    return cur, entries_after(n - 1), int(n_is[-1]), int(n_rs[-1])
 
 
 @dataclass(frozen=True)

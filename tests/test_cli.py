@@ -284,6 +284,15 @@ class TestInterleaveCommand:
         assert (code, out) == (1, "")
         assert err.startswith(
             f"ropsim: error: bad spec: {tmp_path / 'b.trace'}: line 2: bad record 'I 0000000G': ")
+        # A part that cannot be read: missing, a directory, a path no OS accepts.
+        for path in (tmp_path / "missing.trace", tmp_path, "b\u0000.trace"):
+            spec_path.write_text(json.dumps({"parts": {"1": str(tmp_path / "a.trace"),
+                                                       "2": str(path)},
+                                             "schedule": [[1, 9], [2, 1]]}))
+            code, out, err = run_cli(["interleave", str(spec_path)], capsys)
+            assert (code, out) == (1, ""), path
+            assert err.startswith("ropsim: error: bad spec: ") and err.count("\n") == 1, path
+            assert "Traceback" not in err, path
 
     def test_parts_must_map_pids_to_paths(self, tmp_path, capsys):
         # Keys are pids as the trace format writes them: each of the last

@@ -674,6 +674,17 @@ class TestScannedReplay:
         cfg = DetectorConfig(t_m=1, ras_capacity=1)
         assert [v.pid for v in run(control_flow(trace), cfg).verdicts] == [2, 1]
 
+    def test_a_verdict_on_a_chunks_last_item(self):
+        # pid 2's miss flags it and ends the first chunk, so the next chunk
+        # starts from the entries as the verdict left them: pid 1's return
+        # to 0x104 hits.
+        trace = Trace(1, [Call(0x100, 0x500, 0x104), Switch(2), Call(0x2000, 0x600, 0x2004),
+                          Return(0x3000, 0x9999), Switch(1), Return(0x504, 0x104)])
+        _assert_agrees(trace, 1, 6, 16, False, True)
+        _assert_file_agrees(trace, 1, 6, 16, False, True,
+                            serialize_trace(trace).index("X 1\n"))
+        assert [v.pid for v in run(control_flow(trace), DetectorConfig(t_m=1)).verdicts] == [2]
+
     def test_a_predictor_deeper_than_16_bits(self):
         # The unwind's chunks carry more than 2**16 entries, so the depths of
         # their pushes and pops need more than 16 bits.  Every return of the

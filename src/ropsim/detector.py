@@ -210,72 +210,75 @@ def _replayed(chunk: Chunk, entries, cur: int, n_i: int, n_r: int, cap: int, flu
     holds its target.  A stopped process's items leave the predictor alone and
     count nothing."""
     import numpy as np
-    plains, kinds, _, words, pids = chunk
-    n, m = len(kinds), len(entries)
-    switch = kinds == SWITCH
-    call, ret = kinds == CALL, kinds == RETURN
-    live = True
-    if stopped:     # a switch's own count goes to the process it leaves
-        live = np.array([pid not in stopped for pid in [cur, *pids]])[switch.cumsum() - switch]
-        call &= live
-        ret &= live
-    step = np.concatenate([np.ones(m, np.int64), call.astype(np.int64) - ret])
-    walk = step.cumsum()
-    depth = walk - np.minimum(np.minimum.accumulate(walk), 0)     # after each item
-    before = np.concatenate([[0], depth[:-1]])
-    addrs = np.concatenate([entries, words])
+    while True:     # the chunk, then the rest of it after each verdict
+        plains, kinds, _, words, pids = chunk
+        n, m = len(kinds), len(entries)
+        switch = kinds == SWITCH
+        call, ret = kinds == CALL, kinds == RETURN
+        live = True
+        if stopped:     # a switch's own count goes to the process it leaves
+            live = np.array([pid not in stopped for pid in [cur, *pids]])[switch.cumsum() - switch]
+            call &= live
+            ret &= live
+        step = np.concatenate([np.ones(m, np.int64), call.astype(np.int64) - ret])
+        walk = step.cumsum()
+        depth = walk - np.minimum(np.minimum.accumulate(walk), 0)     # after each item
+        before = np.concatenate([[0], depth[:-1]])
+        addrs = np.concatenate([entries, words])
 
-    # Each push and pop at its depth, in depth order and then in time order, so
-    # that a pop comes right after the push it pops (a pop at depth 0 has none).
-    level = np.where(step, np.maximum(depth, before), 0)
-    moved = level.nonzero()[0]
-    size = len(depth) + 1
-    shift = size.bit_length()
-    # Keys are below `2 * size**2`, inside `int64` for any `size` below about 2 * 10**9.
-    keys = np.sort(level[moved] << shift | moved)
-    stack = keys & (1 << shift) - 1
+        # Each push and pop at its depth, in depth order and then in time order, so
+        # that a pop comes right after the push it pops (a pop at depth 0 has none).
+        level = np.where(step, np.maximum(depth, before), 0)
+        moved = level.nonzero()[0]
+        size = len(depth) + 1
+        shift = size.bit_length()
+        # Keys are below `2 * size**2`, inside `int64` for any `size` below about 2 * 10**9.
+        keys = np.sort(level[moved] << shift | moved)
+        stack = keys & (1 << shift) - 1
 
-    def last_push(at_level, at):  # the last push at `at_level` before item `at`
-        return stack[keys.searchsorted(at_level << shift | at) - 1]
+        def last_push(at_level, at):  # the last push at `at_level` before item `at`
+            return stack[keys.searchsorted(at_level << shift | at) - 1]
 
-    evicted = np.full(size, size)  # the first item that evicted each push
-    if flush:   # the first switch after it
-        flushes = m + switch.nonzero()[0]
-        evicted = np.append(flushes, size)[flushes.searchsorted(np.arange(size))]
-    deep = ((level > cap) & (step > 0)).nonzero()[0]
-    np.minimum.at(evicted, last_push(depth[deep] - cap, deep), deep)
-    pops = (step[stack] < 0).nonzero()[0]
-    popped, match = stack[pops], stack[pops - 1]
-    hit = np.zeros(len(depth), bool)
-    hit[popped] = (evicted[match] > popped) & (addrs[match] == addrs[popped])
-    miss = ret & ~hit[m:]
+        evicted = np.full(size, size)  # the first item that evicted each push
+        if flush:   # the first switch after it
+            flushes = m + switch.nonzero()[0]
+            evicted = np.append(flushes, size)[flushes.searchsorted(np.arange(size))]
+        deep = ((level > cap) & (step > 0)).nonzero()[0]
+        np.minimum.at(evicted, last_push(depth[deep] - cap, deep), deep)
+        pops = (step[stack] < 0).nonzero()[0]
+        popped, match = stack[pops], stack[pops - 1]
+        hit = np.zeros(len(depth), bool)
+        hit[popped] = (evicted[match] > popped) & (addrs[match] == addrs[popped])
+        miss = ret & ~hit[m:]
 
-    def entries_after(at):
-        top = int(depth[m + at])
-        kept = last_push(np.arange(max(1, top - cap + 1), top + 1), m + at + 1)
-        return addrs[kept[evicted[kept] > m + at]]
+        def entries_after(at):
+            top = int(depth[m + at])
+            kept = last_push(np.arange(max(1, top - cap + 1), top + 1), m + at + 1)
+            return addrs[kept[evicted[kept] > m + at]]
 
-    marked = (miss | switch).nonzero()[0]
-    # The counts up to each mark and up to the last item, then since the one
-    # before.  Every switch is a mark, and calls less returns is the walk.
-    upto = np.concatenate([marked, [n - 1]])
-    switched = np.concatenate([switch[marked].cumsum(), [len(pids)]])
-    moves = upto + 1 - switched     # calls and returns
-    n_is = plains[upto] + moves
-    n_rs = (moves - walk[m + upto] + m) // 2
-    n_is -= np.concatenate([[-n_i], n_is[:-1]])
-    n_rs -= np.concatenate([[-n_r], n_rs[:-1]])
-    if stopped:
-        n_is[~live[upto]] = n_rs[~live[upto]] = 0
-    for kind, d_i, d_r, a, at in zip(kinds[marked].tolist(), n_is[:-1].tolist(),
-                                     n_rs[:-1].tolist(), chunk.firsts(marked), marked.tolist()):
-        yield kind, d_i, d_r, a
-        if kind == SWITCH:
-            cur = a
-        elif cur in stopped and at + 1 < n:     # a verdict, with items after it
-            rest = Chunk(*(column[at + 1:] for column in chunk[:4]), pids[int(switch[:at].sum()):])
-            return (yield from _replayed(rest, entries_after(at), cur, 0, 0, cap, flush, stopped))
-    return cur, entries_after(n - 1), int(n_is[-1]), int(n_rs[-1])
+        marked = (miss | switch).nonzero()[0]
+        # The counts up to each mark and up to the last item, then since the one
+        # before.  Every switch is a mark, and calls less returns is the walk.
+        upto = np.concatenate([marked, [n - 1]])
+        switched = np.concatenate([switch[marked].cumsum(), [len(pids)]])
+        moves = upto + 1 - switched     # calls and returns
+        n_is = plains[upto] + moves
+        n_rs = (moves - walk[m + upto] + m) // 2
+        n_is -= np.concatenate([[-n_i], n_is[:-1]])
+        n_rs -= np.concatenate([[-n_r], n_rs[:-1]])
+        if stopped:
+            n_is[~live[upto]] = n_rs[~live[upto]] = 0
+        for kind, d_i, d_r, a, at in zip(kinds[marked].tolist(), n_is[:-1].tolist(),
+                                         n_rs[:-1].tolist(), chunk.firsts(marked), marked.tolist()):
+            yield kind, d_i, d_r, a
+            if kind == SWITCH:
+                cur = a
+            elif cur in stopped and at + 1 < n:     # a verdict, with items after it
+                break
+        else:
+            return cur, entries_after(n - 1), int(n_is[-1]), int(n_rs[-1])
+        chunk = Chunk(*(column[at + 1:] for column in chunk[:4]), pids[int(switch[:at].sum()):])
+        entries, n_i, n_r = entries_after(at), 0, 0
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -684,6 +685,15 @@ class TestScannedReplay:
         _assert_file_agrees(trace, 1, 6, 16, False, True,
                             serialize_trace(trace).index("X 1\n"))
         assert [v.pid for v in run(control_flow(trace), DetectorConfig(t_m=1)).verdicts] == [2]
+
+    def test_more_verdicts_in_a_chunk_than_the_recursion_limit(self):
+        # Every pid is flagged inside the one chunk, so its replay starts over
+        # after each verdict, more times than Python allows nested calls.
+        pids = range(2, sys.getrecursionlimit() + 100)
+        trace = Trace(1, [item for pid in pids for item in (Switch(pid), Return(0x3000, 0x9999))])
+        _assert_agrees(trace, 1, 6, 16, False, True)
+        _assert_file_agrees(trace, 1, 6, 16, False, True)
+        assert len(run(control_flow(trace), DetectorConfig(t_m=1)).verdicts) == len(pids)
 
     def test_a_predictor_deeper_than_16_bits(self):
         # The unwind's chunks carry more than 2**16 entries, so the depths of

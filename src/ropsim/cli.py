@@ -197,8 +197,10 @@ def cmd_interleave(args) -> int:
             parts.append((int(pid), parse_trace(Path(path).read_bytes())))
     except TraceParseError as exc:  # which of the parts has the line
         return _fail(f"bad spec: {path}: {exc}")
-    except (OSError, ValueError) as exc:    # an OSError names its path
+    except OSError as exc:  # which names its path
         return _fail(f"bad spec: {exc}")
+    except ValueError as exc:   # a path no OS accepts, shown as its repr: no NUL byte is written
+        return _fail(f"bad spec: part {pid} at {path!r}: {exc}")
     schedule = [(pid, count) for pid, count in doc["schedule"]]
     return _write_trace(interleave, InterleaveSpec(parts=parts, schedule=schedule), args.out)
 

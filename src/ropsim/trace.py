@@ -28,14 +28,15 @@ parser's pattern accepts them, so every text written parses back.
 The detector reads a trace as its `ControlFlow`, which `control_flow`
 derives from a `Trace` as a list of items, and `load_trace` scans from a
 file with numpy, one chunk of lines at a time, as the items are read:
-lines are found by their newlines, plain lines (most of any trace) are
-checked in one pass and only counted, other lines are classed by their
-first byte, and calls and returns are checked by the widths and offsets
-that the table gives.  A scanned chunk is handed on as columns, a `Chunk`,
-in which an address is its 8 checked digits as one 64-bit word, so that
-the detector replays the chunk with numpy and decodes only the pcs its
-marks report.  Iterated, a scanned flow's items (`Scanned`) are the same
-tuples that `control_flow` gives.
+lines are found by their newlines and classed by their first byte, and
+each check runs once over the whole chunk: every line's width and spaces
+by the widths and offsets that the table gives, its digits by one count of
+the chunk's bytes of [0-9a-f].  Plain lines (most of any trace) are only
+counted.  A scanned chunk is handed on as columns, a `Chunk`, in which an
+address is its 8 checked digits as one 64-bit word, so that the detector
+replays the chunk with numpy and decodes only the pcs its marks report.
+Iterated, a scanned flow's items (`Scanned`) are the same tuples that
+`control_flow` gives.
 
 Every reader reports the first line that fails, and a byte past 0x7f fails
 its own line: a `str`, its UTF-8 bytes and a file of them read alike.  The
@@ -393,27 +394,32 @@ def _scan(path):
     """Yield the header's pid, each chunk's `Chunk`, then END's, or raise `parse_trace`'s error,
     as `_events` finds it on the lines of the first chunk that fails.  A chunk is the next
     `SCAN_CHUNK` bytes of `path` up to their last newline, or else one line.  The plain lines
-    before an item are its line index less its rank among the other lines."""
+    before an item are its line index less its rank among the other lines.
+
+    Each check runs once over a whole chunk.  A line's first byte must be a tag, '#' or its
+    newline.  An I, C or R line must have its tag's width, a space after its tag and, in a C
+    or R line, a space before each further address; `_RECORD` matches each header and switch
+    line.  Every other byte of those lines is then a digit's place, so a line holds at most
+    8 bytes of [0-9a-f] per address, a header or switch line all but its tag and space, a
+    blank line none, and a comment the number it holds.  The chunk's bytes of [0-9a-f] add
+    up to that sum only if every digit's place holds one."""
     import numpy as np
     kind_of = np.full(256, -1, np.int8)    # -1: not a record's first byte
     kind_of[list(b"\n#" + "".join(_LAYOUT).encode())] = 0
     kind_of[list(b"CRX")] = CALL, RETURN, SWITCH
+    width_of = np.zeros(256, np.int64)     # 0: no fixed width
+    width_of[list(map(ord, _FIXED))] = [length for length, _ in _FIXED.values()]
+
+    def hexes(a) -> int:    # how many of the bytes `a` are [0-9a-f]
+        low = a - 48        # 0-9 for a digit
+        found = np.count_nonzero(low < 10)
+        low -= 49           # 0-5 for a letter a-f
+        return found + np.count_nonzero(low < 6)
 
     def pid(line: int) -> int:     # of a switch or header line of the current chunk
         record = data[starts[line]:ends[line]].decode()
         _require(_RECORD.fullmatch(record))
         return int(record.partition(" ")[2])    # a ValueError if it has too many digits
-
-    def addresses(tag: str, rows):  # the address words of the `tag` lines `rows`: a row per field
-        length, fields = _FIXED[tag]
-        at = starts[rows]
-        _require((ends[rows] - at == length).all())
-        at = at + np.array(fields)[:, None]
-        _require((text[at - 1] == 32).all())
-        found = words[at]
-        digits = found.view(np.uint8)
-        _require((((digits - 48) < 10) | ((digits - 97) < 6)).all())
-        return found
 
     initial = header = None     # the header's pid, and as it was before the current chunk
     plains = 0          # plain lines since the last item
@@ -435,32 +441,49 @@ def _scan(path):
                     ends = np.append(ends, len(text))
                 starts = np.append(0, ends[:-1] + 1)
                 tags = text[starts]     # a blank line's tag is its newline
-                plain = tags == ord("I")
-                addresses("I", np.flatnonzero(plain))
-                other = np.flatnonzero(~plain)
-                kinds = kind_of[tags[other]]
+                lengths = ends - starts
+                # An I, C or R line has its tag's width and a space after its tag.
+                width = width_of.take(tags)
+                spaced = text.take(starts + 1, mode="clip") == 32
+                _require((((lengths == width) & spaced) | (width == 0)).all())
+                other = np.flatnonzero(tags != ord("I"))
+                firsts = tags[other]
+                kinds = kind_of[firsts]
                 _require((kinds >= 0).all())
 
                 # Only comment and blank lines, whose tags sort first, precede the header.
-                headers = other[tags[other] == ord("P")]
+                headers = other[firsts == ord("P")]
                 if initial is None and (tags > ord("#")).any():
                     _require(tags[(tags > ord("#")).argmax()] == ord("P"))
                     initial, headers = pid(headers[0]), headers[1:]
-                    yield initial
                 _require(not len(headers))
 
                 rank = np.flatnonzero(kinds)    # of each item among the other lines
                 control, kinds = other[rank], kinds[rank]
+                pids = list(map(pid, control[kinds == SWITCH].tolist()))
+                digits = 8 * (len(tags) - len(other))   # the most the lines can hold, plain first
                 pcs, addrs = columns = np.zeros((2, len(control)), np.uint64)
                 for tag, kind, n in ("C", CALL, 1), ("R", RETURN, 2):   # a call's pc stays 0
                     at = np.flatnonzero(kinds == kind)
-                    columns[-n:, at] = addresses(tag, control[at])[-n:]
+                    fields = np.array(_FIXED[tag][1])[:, None] + starts[control[at]]
+                    _require((text[fields[1:] - 1] == 32).all())
+                    columns[-n:, at] = words[fields[-n:]]   # only the addresses the replay reads
+                    digits += 8 * fields.size
+                pid_lines = other[(firsts == ord("X")) | (firsts == ord("P"))]
+                digits += int((lengths[pid_lines] - 2).sum())
+                notes = other[firsts == ord("#")]
+                if len(notes):      # what the comments hold, counted over their gathered bytes
+                    size = lengths[notes]
+                    shift = starts[notes] - size.cumsum() + size    # a byte's index less its rank
+                    digits += hexes(text[np.repeat(shift, size) + np.arange(size.sum())])
+                _require(hexes(text) == digits)
+                if header is None and initial is not None:  # the header is on this chunk's lines
+                    yield initial
                 counted = plains + control - rank   # plain lines before each item, since the last
                 plains += len(tags) - len(other)
                 if len(control):    # so none before the header
                     plains -= int(counted[-1])
-                    yield Chunk(counted, kinds, pcs, addrs,
-                                list(map(pid, control[kinds == SWITCH].tolist())))
+                    yield Chunk(counted, kinds, pcs, addrs, pids)
                 line += len(ends)
                 header = initial
             _require(initial is not None)

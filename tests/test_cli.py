@@ -293,6 +293,7 @@ class TestInterleaveCommand:
             assert (code, out) == (1, ""), path
             assert err.startswith("ropsim: error: bad spec: ") and err.count("\n") == 1, path
             assert "Traceback" not in err, path
+        assert err == "ropsim: error: bad spec: part 2 at 'b\\x00.trace': embedded null byte\n"
 
     def test_parts_must_map_pids_to_paths(self, tmp_path, capsys):
         # Keys are pids as the trace format writes them: each of the last

@@ -337,6 +337,23 @@ class TestControlFlow:
         # Same items on accepted text; the same line and message on rejected text.
         assert _scanned(text) == _parsed(text)
 
+    def test_each_byte_of_a_record_replaced_by_a_bad_byte(self):
+        # Each byte of a canonical I, C and R line, its newline too, replaced in turn by
+        # bytes that no digit's or space's place may hold.  A comment with hex digits and
+        # a switch come before the line and a blank line after it, so that a line made
+        # one byte longer keeps its digit count.
+        head, tail = b"P 1\n# c0ffee 12\nX 25\n", b"\nI 89abcdef\n"
+        records = [b"I 0123abcd\n", b"C 00000010 deadbeef 00000014\n", b"R 00000020 00000014\n"]
+        texts = [head + tail, head + b"Ia12345678\nI 1234567g\n" + tail]    # counts that cancel
+        for record in records:
+            texts += [head + record[:at] + bad + record[at + 1:] + tail
+                      for at in range(len(record)) for bad in (b"g", b"A", b" ", b"\n", b"I")]
+        scanned = list(map(_scanned, texts))
+        assert scanned == list(map(_parsed, texts))
+        # Only the texts that a replacement left as they were are read.
+        accepted = {text for text, flow in zip(texts, scanned) if isinstance(flow, ControlFlow)}
+        assert accepted == {head + tail, *(head + record + tail for record in records)}
+
 
 @functools.cache
 def _chunked_text(seed: int, chunk: int = trace_mod.SCAN_CHUNK) -> bytes:

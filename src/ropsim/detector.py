@@ -46,13 +46,13 @@ the generators, goes through `_marks`, one Python loop over its items.  A
 flow that `load_trace` scans from a file has `trace.Scanned` items, the
 columns of each scanned chunk, and goes through `_scanned_marks`: numpy
 replays a whole chunk at a time (`_replayed`), so no Python runs per call
-or return, and after a verdict the rest of the chunk is replayed again.
-The predictor is thus stated twice, on purpose.  Each way is the faster
-on its own inputs: a file holds up to millions of items and has paid for
-numpy's import in the scan, while the sweep replays hundreds of short
-flows, on which the loop is faster than the array replay's fixed cost
-per chunk, and imports no numpy at all.  The tests hold both ways to the
-oracle in `tests/oracle.py`.
+or return, and replays the rest of a chunk again only where a process
+flagged in it would move the predictor.  The predictor is thus stated
+twice, on purpose.  Each way is the faster on its own inputs: a file
+holds up to millions of items and has paid for numpy's import in the
+scan, while the sweep replays hundreds of short flows, on which the loop
+is faster than the array replay's fixed cost per chunk, and imports no
+numpy at all.  The tests hold both ways to the oracle in `tests/oracle.py`.
 
 All options are `DetectorConfig` fields: `table_enabled=False` disables
 the table (partial intervals are discarded at every switch), a
@@ -198,28 +198,26 @@ def _replayed(chunk: Chunk, entries, cur: int, n_i: int, n_r: int, cap: int, flu
     """Yield the marks of one chunk's items as `_marks` gives them, and return
     `(cur, entries, n_i, n_r)` as the chunk leaves them: the current pid, the
     predictor's entries as address words, oldest first, and the counts since
-    the last mark.  The arguments are as the chunk before left them.  After a
-    verdict's mark, the rest of the chunk is replayed again, without the pid
-    that the caller stopped, from the predictor entries as that mark left them.
+    the last mark.  The arguments are as the chunk before left them.  A pid that
+    the caller stops counts nothing from then on.  Where its next item after its
+    verdict, or after a switch to it, is a call or return, which would move the
+    predictor, the rest of the chunk is replayed without it from that mark: `k`
+    pids flagged in a chunk that call or return again in it cost `O(k * chunk)`.
 
     The predictor is a walk over call depth, kept at 0; the entries carried in
     are pushes at depths 1 to `m` before the first item.  A return at depth
     `d > 0` pops the last push at depth `d`.  A push at depth `q` evicts the last
     push at depth `q - cap`, and under a flush a switch evicts every push before
     it, so a return hits when its push was not evicted before the return and
-    holds its target.  A stopped process's items leave the predictor alone and
-    count nothing."""
+    holds its target."""
     import numpy as np
-    while True:     # the chunk, then the rest of it after each verdict
+    while True:     # the chunk, then the rest of it after each restart
         plains, kinds, _, words, pids = chunk
         n, m = len(kinds), len(entries)
-        switch = kinds == SWITCH
-        call, ret = kinds == CALL, kinds == RETURN
-        live = True
-        if stopped:     # a switch's own count goes to the process it leaves
-            live = np.array([pid not in stopped for pid in [cur, *pids]])[switch.cumsum() - switch]
-            call &= live
-            ret &= live
+        call, ret, switch = kinds == CALL, kinds == RETURN, kinds == SWITCH
+        if stopped:     # a process stopped before this replay leaves the predictor alone
+            live = np.array([pid not in stopped for pid in [cur, *pids]])[switch.cumsum()]
+            call, ret = call & live, ret & live
         step = np.concatenate([np.ones(m, np.int64), call.astype(np.int64) - ret])
         walk = step.cumsum()
         depth = walk - np.minimum(np.minimum.accumulate(walk), 0)     # after each item
@@ -266,18 +264,17 @@ def _replayed(chunk: Chunk, entries, cur: int, n_i: int, n_r: int, cap: int, flu
         n_rs = (moves - walk[m + upto] + m) // 2
         n_is -= np.concatenate([[-n_i], n_is[:-1]])
         n_rs -= np.concatenate([[-n_r], n_rs[:-1]])
-        if stopped:
-            n_is[~live[upto]] = n_rs[~live[upto]] = 0
         for kind, d_i, d_r, a, at in zip(kinds[marked].tolist(), n_is[:-1].tolist(),
                                          n_rs[:-1].tolist(), chunk.firsts(marked), marked.tolist()):
-            yield kind, d_i, d_r, a
+            yield (kind, 0, 0, a) if cur in stopped else (kind, d_i, d_r, a)
             if kind == SWITCH:
                 cur = a
-            elif cur in stopped and at + 1 < n:     # a verdict, with items after it
+            if cur in stopped and at + 1 < n and step[m + at + 1]:  # it would move the predictor
                 break
         else:
-            return cur, entries_after(n - 1), int(n_is[-1]), int(n_rs[-1])
-        chunk = Chunk(*(column[at + 1:] for column in chunk[:4]), pids[int(switch[:at].sum()):])
+            return cur, entries_after(n - 1), *((0, 0) if cur in stopped else
+                                                (int(n_is[-1]), int(n_rs[-1])))
+        chunk = Chunk(*(column[at + 1:] for column in chunk[:4]), pids[int(switch[:at + 1].sum()):])
         entries, n_i, n_r = entries_after(at), 0, 0
 
 

@@ -473,9 +473,11 @@ def _scan(path):
                 digits += int((lengths[pid_lines] - 2).sum())
                 notes = other[firsts == ord("#")]
                 if len(notes):      # what the comments hold, counted over their gathered bytes
-                    size = lengths[notes]
-                    shift = starts[notes] - size.cumsum() + size    # a byte's index less its rank
-                    digits += hexes(text[np.repeat(shift, size) + np.arange(size.sum())])
+                    size = lengths[notes]   # each byte's offset less its rank, then plus it
+                    index = np.int32 if len(text) < 1 << 31 else np.int64   # a line may pass 2 GiB
+                    at = np.repeat((starts[notes] - size.cumsum() + size).astype(index), size)
+                    at += np.arange(len(at), dtype=index)
+                    digits += hexes(text.take(at))
                 _require(hexes(text) == digits)
                 if header is None and initial is not None:  # the header is on this chunk's lines
                     yield initial

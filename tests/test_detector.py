@@ -664,6 +664,16 @@ class TestScannedReplay:
         _assert_file_agrees(trace, 1, 6, 16, False, True)
         assert [v.pid for v in run(control_flow(trace), DetectorConfig(t_m=1)).verdicts] == [2]
 
+    def test_a_flagged_process_switched_back_in_leaves_the_predictor_alone(self):
+        # pid 2 is flagged mid-chunk and switched out, then back in, where its
+        # call must not push: pid 1's return to 0x104 finds its own entry.
+        trace = Trace(1, [Call(0x100, 0x500, 0x104), Call(0x500, 0x600, 0x504), Switch(2),
+                          Return(0x3000, 0x9999), Switch(3), Plain(0), Switch(2),
+                          Call(0x2000, 0x700, 0x2004), Switch(1), Return(0x604, 0x104)])
+        _assert_agrees(trace, 1, 6, 16, False, True)
+        _assert_file_agrees(trace, 1, 6, 16, False, True)
+        assert [v.pid for v in run(control_flow(trace), DetectorConfig(t_m=1)).verdicts] == [2]
+
     def test_an_entry_stays_evicted_when_pushed_over_again(self):
         # pid 2's second call evicts 0x104; its miss flags it, and its call after
         # the verdict evicts 0x104 again.  pid 1's return to 0x104 finds no entry.
@@ -687,10 +697,12 @@ class TestScannedReplay:
         assert [v.pid for v in run(control_flow(trace), DetectorConfig(t_m=1)).verdicts] == [2]
 
     def test_more_verdicts_in_a_chunk_than_the_recursion_limit(self):
-        # Every pid is flagged inside the one chunk, so its replay starts over
-        # after each verdict, more times than Python allows nested calls.
+        # Every pid is flagged inside the one chunk and calls after its verdict, so
+        # its replay starts over after each verdict, more times than Python allows
+        # nested calls.
         pids = range(2, sys.getrecursionlimit() + 100)
-        trace = Trace(1, [item for pid in pids for item in (Switch(pid), Return(0x3000, 0x9999))])
+        trace = Trace(1, [item for pid in pids for item in
+                          (Switch(pid), Return(0x3000, 0x9999), Call(0x3004, 0x700, 0x3008))])
         _assert_agrees(trace, 1, 6, 16, False, True)
         _assert_file_agrees(trace, 1, 6, 16, False, True)
         assert len(run(control_flow(trace), DetectorConfig(t_m=1)).verdicts) == len(pids)

@@ -16,9 +16,10 @@ scheduling quanta, so the counts of a partial interval are saved per
 process in a lookup table: on switch-out they are stored, and on
 switch-in they are restored into the live counts, so the interval
 completes exactly where it would have without the switch.  A table entry
-holds one byte per count, so an interval that was stored closes with its
-counts clamped at 255.  A clamped count must not pass the signature
-where the true count would fail, so configurations with
+holds one byte per count.  The signature reads the true counts, and an
+interval restored from the table is recorded with `n_i` and `n_r`
+clamped at 255.  The hardware check reads the stored byte, which agrees
+with the true count only below 255, so configurations with
 `t_i * t_m >= 255` are rejected.
 
 Mispredictions come from a return-address-stack predictor, a small
@@ -145,8 +146,8 @@ def _marks(flow: ControlFlow, ras_capacity: int, flush_ras_on_switch: bool,
            stopped: set[int]):
     """Yield `(RETURN, n_i, n_r, pc)` at each mispredicted return,
     `(SWITCH, n_i, n_r, next_pid)` at each switch and `(END, n_i, n_r, 0)`,
-    with the counts since the previous mark.  A pid the caller adds to
-    `stopped` counts nothing and leaves the predictor alone from then on."""
+    with the counts since the previous mark.  A pid the caller adds to `stopped`
+    leaves the predictor alone from then on, and `run` drops its counts."""
     ras: deque[int] = deque(maxlen=ras_capacity)
     push, pop = ras.append, ras.pop
     cur = flow.initial_process
@@ -155,20 +156,19 @@ def _marks(flow: ControlFlow, ras_capacity: int, flush_ras_on_switch: bool,
     kind = None
     for plains, kind, a, b in flow.items:
         if kind == RETURN:
-            if live:
-                # Counted, then predicted.
-                n_i += plains + 1
-                n_r += 1
-                if not ras or pop() != b:
-                    yield RETURN, n_i, n_r, a
-                    n_i = n_r = 0
-                    live = cur not in stopped
+            # Counted, then predicted.
+            n_i += plains + 1
+            n_r += 1
+            if live and (not ras or pop() != b):
+                yield RETURN, n_i, n_r, a
+                n_i = n_r = 0
+                live = cur not in stopped
         elif kind == CALL:
+            n_i += plains + 1
             if live:
-                n_i += plains + 1
                 push(b)
         elif kind == SWITCH:
-            yield SWITCH, n_i + plains if live else n_i, n_r, a
+            yield SWITCH, n_i + plains, n_r, a
             n_i = n_r = 0
             if flush_ras_on_switch:
                 ras.clear()
@@ -176,7 +176,7 @@ def _marks(flow: ControlFlow, ras_capacity: int, flush_ras_on_switch: bool,
             live = cur not in stopped
     if kind != END:  # e.g. items built by hand, or an iterator already spent
         raise ValueError("control flow items end without an END item")
-    yield END, n_i + plains if live else n_i, n_r, 0
+    yield END, n_i + plains, n_r, 0
 
 
 def _scanned_marks(flow: ControlFlow, ras_capacity: int, flush_ras_on_switch: bool,
@@ -186,7 +186,7 @@ def _scanned_marks(flow: ControlFlow, ras_capacity: int, flush_ras_on_switch: bo
     cur, entries, n_i, n_r = flow.initial_process, np.zeros(0, np.uint64), 0, 0
     for chunk in flow.items.chunks:
         if chunk.kinds[0] == END:   # the last chunk, END alone: nothing to replay
-            yield END, n_i if cur in stopped else n_i + int(chunk.plains[0]), n_r, 0
+            yield END, n_i + int(chunk.plains[0]), n_r, 0
             return
         cur, entries, n_i, n_r = yield from _replayed(chunk, entries, cur, n_i, n_r, ras_capacity,
                                                       flush_ras_on_switch, stopped)
@@ -198,11 +198,13 @@ def _replayed(chunk: Chunk, entries, cur: int, n_i: int, n_r: int, cap: int, flu
     """Yield the marks of one chunk's items as `_marks` gives them, and return
     `(cur, entries, n_i, n_r)` as the chunk leaves them: the current pid, the
     predictor's entries as address words, oldest first, and the counts since
-    the last mark.  The arguments are as the chunk before left them.  A pid that
-    the caller stops counts nothing from then on.  Where its next item after its
-    verdict, or after a switch to it, is a call or return, which would move the
-    predictor, the rest of the chunk is replayed without it from that mark: `k`
-    pids flagged in a chunk that call or return again in it cost `O(k * chunk)`.
+    the last mark.  The arguments are as the chunk before left them.  A pid that the
+    caller stops leaves the predictor alone from then on.  Where its next item after
+    its verdict, or after a switch to it, is a call or return, the rest of the chunk
+    is replayed without it from that mark: `k` such pids in a chunk cost
+    `O(k * chunk)`.  Its marks carry counts that `run` drops, not its true ones: the
+    live mask takes its calls and returns out of the walk, and a restart's first
+    mark counts plains from the chunk's start.
 
     The predictor is a walk over call depth, kept at 0; the entries carried in
     are pushes at depths 1 to `m` before the first item.  A return at depth
@@ -266,14 +268,13 @@ def _replayed(chunk: Chunk, entries, cur: int, n_i: int, n_r: int, cap: int, flu
         n_rs -= np.concatenate([[-n_r], n_rs[:-1]])
         for kind, d_i, d_r, a, at in zip(kinds[marked].tolist(), n_is[:-1].tolist(),
                                          n_rs[:-1].tolist(), chunk.firsts(marked), marked.tolist()):
-            yield (kind, 0, 0, a) if cur in stopped else (kind, d_i, d_r, a)
+            yield kind, d_i, d_r, a
             if kind == SWITCH:
                 cur = a
             if cur in stopped and at + 1 < n and step[m + at + 1]:  # it would move the predictor
                 break
         else:
-            return cur, entries_after(n - 1), *((0, 0) if cur in stopped else
-                                                (int(n_is[-1]), int(n_rs[-1])))
+            return cur, entries_after(n - 1), int(n_is[-1]), int(n_rs[-1])
         chunk = Chunk(*(column[at + 1:] for column in chunk[:4]), pids[int(switch[:at + 1].sum()):])
         entries, n_i, n_r = entries_after(at), 0, 0
 
@@ -303,63 +304,59 @@ def run(flow: ControlFlow | Replay, cfg: DetectorConfig | None = None) -> Detect
     t_m = cfg.t_m
     limit = cfg.t_i * t_m
     stopped: set[int] = set()
-    detached = isinstance(flow, Replay)
-    if detached and flow.ras_capacity != cfg.ras_capacity:
-        raise ValueError(f"replay at ras_capacity {flow.ras_capacity}, run at {cfg.ras_capacity}")
-    if detached:
-        marks = flow.marks
-    else:
+    if not isinstance(flow, Replay):
         replayed = _scanned_marks if isinstance(flow.items, Scanned) else _marks
         marks = replayed(flow, cfg.ras_capacity, cfg.flush_ras_on_switch, stopped)
+    elif flow.ras_capacity != cfg.ras_capacity:
+        raise ValueError(f"replay at ras_capacity {flow.ras_capacity}, run at {cfg.ras_capacity}")
+    else:
+        marks = flow.marks
 
     table: dict[int, tuple[int, int, int]] = {}  # pid -> parked (n_i, n_r, n_m)
-    verdicts: list[RopDetected] = []
-    intervals: list[IntervalRecord] = []
+    report = DetectionReport()
     record_counts: dict[int, int] = {}
 
-    def emit(pid: int, n_i: int, n_r: int, n_m: int, closed_by: ClosedBy) -> int:
+    def emit(pid: int, n_i: int, n_r: int, n_m: int, closed_by: ClosedBy, parked: bool) -> int:
+        if parked:  # restored from the table: recorded as the stored bytes read
+            n_i, n_r = min(SATURATE_AT, n_i), min(SATURATE_AT, n_r)
         index = record_counts.get(pid, 0) + 1
         record_counts[pid] = index
-        intervals.append(IntervalRecord(pid, index, n_i, n_r, n_m, closed_by))
+        report.intervals.append(IntervalRecord(pid, index, n_i, n_r, n_m, closed_by))
         return index
 
-    # Live counts of the current interval; `parked` when they were restored
-    # from the table, so they close clamped as a stored entry would read.
+    # Live counts of the current interval, added only while its process is
+    # monitored, which stops at its verdict; `parked` when restored from the table.
     cur = flow.initial_process
     n_i = n_r = n_m = 0
-    parked = False
+    monitored, parked = True, False
     for kind, d_i, d_r, a in marks:
-        n_i += d_i
-        n_r += d_r
-        if kind == RETURN:  # a miss, which may close the interval
+        if monitored:
+            n_i += d_i
+            n_r += d_r
+        if kind == RETURN and monitored:  # a miss, which may close the interval
             n_m += 1
             if n_m == t_m:
-                if parked:
-                    n_i, n_r = min(SATURATE_AT, n_i), min(SATURATE_AT, n_r)
-                    parked = False
-                index = emit(cur, n_i, n_r, n_m, ClosedBy.OVERFLOW)
+                index = emit(cur, n_i, n_r, n_m, ClosedBy.OVERFLOW, parked)
                 if n_r == t_m and n_i <= limit:  # the ROP signature
-                    verdicts.append(RopDetected(
+                    report.verdicts.append(RopDetected(
                         cur, classify_address(a), index, n_i, n_r, a))
-                    if detached:  # switch-free: nothing after this verdict counts
-                        return DetectionReport(verdicts, intervals)
                     stopped.add(cur)
+                    monitored = False
                 n_i = n_r = n_m = 0
+                parked = False
         elif kind == SWITCH:
-            # A stopped process counts nothing, so live counts imply a monitored one.
             if n_i or n_r or n_m:
                 if cfg.table_enabled:
                     table[cur] = (n_i, n_r, n_m)
                 else:
                     # Vulnerable baseline: the partial interval is discarded wholesale.
-                    emit(cur, n_i, n_r, n_m, ClosedBy.SWITCH)
+                    emit(cur, n_i, n_r, n_m, ClosedBy.SWITCH, parked)
             cur = a
+            monitored = cur not in stopped
             parked = cur in table
             n_i, n_r, n_m = table.pop(cur) if parked else (0, 0, 0)
 
     # The open interval is incomplete, so it is recorded but never checked.
-    if parked:
-        n_i, n_r = min(SATURATE_AT, n_i), min(SATURATE_AT, n_r)
     if n_i or n_r or n_m:
-        emit(cur, n_i, n_r, n_m, ClosedBy.END_OF_TRACE)
-    return DetectionReport(verdicts, intervals)
+        emit(cur, n_i, n_r, n_m, ClosedBy.END_OF_TRACE, parked)
+    return report
